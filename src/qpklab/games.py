@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .bits import random_bits
 from .primitives import PrfspdProof, ToyPrfspd
@@ -226,6 +225,8 @@ def estimate_advantage(runner, trials: int, rng: np.random.Generator,
     Trials use rng streams split from the master generator, merged by trial
     index, so results are reproducible bit-exactly under a fixed seed.
     """
+    from scipy.stats import binomtest  # slow to import; nothing else needs scipy.stats
+
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful estimate")
     wins = 0

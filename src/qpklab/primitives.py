@@ -23,15 +23,12 @@ from .sim import PureState, WireRange
 
 def _sha_bits(label: str, want: int) -> str:
     """First `want` bits of the counter-mode SHA-256 stream for `label`."""
-    out = []
-    counter = 0
-    have = 0
-    while have < want:
-        digest = hashlib.sha256(f"{label}:{counter}".encode()).digest()
-        out.append("".join(format(byte, "08b") for byte in digest))
-        have += 256
-        counter += 1
-    return "".join(out)[:want]
+    if want <= 0:
+        return ""
+    blocks = -(-want // 256)
+    stream = b"".join(hashlib.sha256(f"{label}:{counter}".encode()).digest()
+                      for counter in range(blocks))
+    return format(int.from_bytes(stream, "big") >> (256 * blocks - want), f"0{want}b")
 
 
 def prf_eval(key: str, x: str, out_width: int) -> str:

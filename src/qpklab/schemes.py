@@ -59,9 +59,11 @@ class QuantumPublicKey:
 
     `states` holds one pure state per independent register block (one entry
     for the OWF and PRFS schemes, lambda slot states for the PRFSPD scheme,
-    kept separate so each slot stays within qubit capacity). `residue` caches
-    the classical data produced by the first measuring encryption; `consumed`
-    marks a spent single-shot key.
+    kept separate so each slot stays within qubit capacity). Copies of one
+    key share a single tuple of states with read-only amplitudes; the
+    recycling record is each copy's own. `residue` caches the classical data
+    produced by the first measuring encryption; `consumed` marks a spent
+    single-shot key.
     """
 
     scheme: str
@@ -100,11 +102,28 @@ class QpkeScheme:
         if security_param < 1:
             raise SchemeError("security parameter out of range")
         self.security_param = security_param
+        self._last_public = None  # (dk bits, states) of the last key built
 
     def gen(self, rng: np.random.Generator) -> DecryptionKey:
         return DecryptionKey(random_bits(self.security_param, rng))
 
     def qpk_gen(self, dk: DecryptionKey) -> QuantumPublicKey:
+        """A fresh copy of the public key for `dk`.
+
+        Every copy under one decryption key is the same state, so the states
+        of the last key are built once: repeated calls share one tuple of
+        states with read-only amplitudes, and each call mints an independent
+        recycling record (`consumed`, `residue`).
+        """
+        if self._last_public is None or self._last_public[0] != dk.bits:
+            states = self._public_states(dk)
+            for state in states:
+                state.amplitudes.setflags(write=False)
+            self._last_public = (dk.bits, states)
+        return QuantumPublicKey(self.name, self._last_public[1])
+
+    def _public_states(self, dk: DecryptionKey) -> tuple:
+        """Build the public-key states for `dk`, one per register block."""
         raise NotImplementedError
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng: np.random.Generator):
@@ -137,14 +156,13 @@ class OwfScheme(QpkeScheme):
     def _y_range(self) -> WireRange:
         return WireRange(0, self.prf_output_width)
 
-    def qpk_gen(self, dk: DecryptionKey) -> QuantumPublicKey:
+    def _public_states(self, dk: DecryptionKey) -> tuple:
         base = sim.tensor(
             sim.uniform_superposition(self.security_param),
             sim.basis_state(self.prf_output_width, "0" * self.prf_output_width),
         )
         f = lambda x: self.prf(dk.bits, x, self.prf_output_width)
-        state = sim.apply_function_oracle(base, f, self._x_range(), self._y_range())
-        return QuantumPublicKey(self.name, (state,))
+        return (sim.apply_function_oracle(base, f, self._x_range(), self._y_range()),)
 
     def _ciphertext_for(self, y: str, x: str, message: str, rng) -> Scheme1Ciphertext:
         # shared by encrypt (post-measurement) and exhaustive correctness runs
@@ -184,7 +202,7 @@ class PrfspdScheme(QpkeScheme):
         if security_param + prfspd.params.output_qubits > sim.q_max():
             raise sim.CapacityError("slot state exceeds qubit capacity")
 
-    def _slot_state(self, dk: DecryptionKey) -> PureState:
+    def _public_states(self, dk: DecryptionKey) -> tuple:
         lam = self.security_param
         n = self.prfspd.params.output_qubits
         amps = np.zeros(1 << (lam + n), dtype=np.complex128)
@@ -192,11 +210,7 @@ class PrfspdScheme(QpkeScheme):
         for xv in range(1 << lam):
             psi = self.prfspd.gen(dk.bits, int_to_bits(xv, lam))
             amps[xv << n : (xv + 1) << n] = scale * psi.amplitudes
-        return PureState(lam + n, amps)
-
-    def qpk_gen(self, dk: DecryptionKey) -> QuantumPublicKey:
-        slot = self._slot_state(dk)
-        return QuantumPublicKey(self.name, tuple([slot] * self.security_param))
+        return (PureState(lam + n, amps),) * lam
 
     def _measure_slots(self, qpk: QuantumPublicKey, rng):
         lam = self.security_param
@@ -254,10 +268,9 @@ class PrfsScheme(QpkeScheme):
             raise SchemeError("message must be a single bit")
         return message
 
-    def qpk_gen(self, dk: DecryptionKey) -> QuantumPublicKey:
+    def _public_states(self, dk: DecryptionKey) -> tuple:
         d = self.prfs.params.input_width
-        state = self.prfs.oracle_isometry(dk.bits, sim.uniform_superposition(d))
-        return QuantumPublicKey(self.name, (state,))
+        return (self.prfs.oracle_isometry(dk.bits, sim.uniform_superposition(d)),)
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng, mixed_as_density=False):
         """Single-shot encryption of one bit.

@@ -207,13 +207,17 @@ def apply_phase_oracle(state: PureState, g) -> PureState:
     return PureState(state.qubit_count, state.amplitudes * signs)
 
 
+def _register_view(vec: np.ndarray, wires: WireRange) -> np.ndarray:
+    """`vec` viewed as (bits above, register value, bits below) for `wires`."""
+    return vec.reshape(len(vec) >> (wires.offset + wires.width), 1 << wires.width,
+                       1 << wires.offset)
+
+
 def born_probabilities(state: PureState, wires: WireRange) -> np.ndarray:
     """Marginal outcome probabilities for measuring `wires` in the computational basis."""
     wires.check_fits(state.qubit_count)
-    idx = np.arange(state.dim, dtype=np.int64)
-    vals = (idx >> wires.offset) & wires.mask
     weights = np.abs(state.amplitudes) ** 2
-    return np.bincount(vals, weights=weights, minlength=1 << wires.width)
+    return _register_view(weights, wires).sum(axis=(0, 2))
 
 
 def project(state: PureState, wires: WireRange, outcome: str):
@@ -224,9 +228,8 @@ def project(state: PureState, wires: WireRange, outcome: str):
     wires.check_fits(state.qubit_count)
     check_bits(outcome, wires.width)
     target = bits_to_int(outcome)
-    idx = np.arange(state.dim, dtype=np.int64)
-    keep = ((idx >> wires.offset) & wires.mask) == target
-    amps = np.where(keep, state.amplitudes, 0.0)
+    amps = np.zeros_like(state.amplitudes)
+    _register_view(amps, wires)[:, target] = _register_view(state.amplitudes, wires)[:, target]
     prob = float(np.vdot(amps, amps).real)
     if prob <= ATOL_EXACT**2:
         return 0.0, None
@@ -249,10 +252,8 @@ def puncture(state: PureState, marked: str, wires: WireRange) -> PureState:
     """Zero out all amplitudes whose `wires` value equals `marked`, renormalize."""
     wires.check_fits(state.qubit_count)
     check_bits(marked, wires.width)
-    target = bits_to_int(marked)
-    idx = np.arange(state.dim, dtype=np.int64)
-    keep = ((idx >> wires.offset) & wires.mask) != target
-    amps = np.where(keep, state.amplitudes, 0.0)
+    amps = state.amplitudes.copy()
+    _register_view(amps, wires)[:, bits_to_int(marked)] = 0.0
     norm2 = float(np.vdot(amps, amps).real)
     if norm2 <= ATOL_EXACT**2:
         raise EmptyProjectionError("puncturing removed all amplitude mass")
@@ -275,11 +276,15 @@ def fidelity(a, b) -> float:
         return float(np.real(a.amplitudes.conj() @ b.matrix @ a.amplitudes))
     if isinstance(b, PureState):
         return fidelity(b, a)
-    from scipy.linalg import sqrtm
+    root = _psd_sqrt(a.matrix)
+    inner = np.linalg.eigvalsh(root @ b.matrix @ root)
+    return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
 
-    root = sqrtm(a.matrix)
-    inner = sqrtm(root @ b.matrix @ root)
-    return float(np.real(np.trace(inner)) ** 2)
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian PSD matrix; rounding-negative eigenvalues count as 0."""
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def trace_distance(a, b) -> float:

@@ -68,6 +68,9 @@ def test_prf_truth_table_against_reference():
             k, x = int_to_bits(kv, 3), int_to_bits(xv, 3)
             assert prf_eval(k, x, 11) == reference(k, x, 11)
     assert prf_eval("1", "0", 300) == reference("1", "0", 300)
+    # widths at and across the 256-bit digest boundaries
+    for width in (0, 1, 255, 256, 257, 512):
+        assert prf_eval("101", "0110", width) == reference("101", "0110", width)
 
 
 # --- random-function table --------------------------------------------------
@@ -112,6 +115,13 @@ def test_ske_round_trip(rng):
         m = random_bits(width, rng)
         ct = ske.encrypt("1011", m, rng)
         assert ske.decrypt("1011", ct) == m
+
+
+def test_ske_empty_message(rng):
+    ske = StreamSke()
+    ct = ske.encrypt("1011", "", rng)
+    assert ct.body == ""
+    assert ske.decrypt("1011", ct) == ""
 
 
 def test_ske_exhaustive_small():

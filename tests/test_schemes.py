@@ -79,6 +79,23 @@ def test_qpk_gen_repeatable(factory):
     a, b = scheme.qpk_gen(dk), scheme.qpk_gen(dk)
     for sa, sb in zip(a.states, b.states):
         assert abs(sim.fidelity(sa, sb) - 1.0) < 1e-10
+    # copies share one read-only state tuple but not the recycling record
+    assert a is not b
+    assert all(sa is sb for sa, sb in zip(a.states, b.states))
+    for state in a.states:
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+    message = "1" if scheme.name == "prfs" else "0110"
+    rng = np.random.default_rng(3)
+    scheme.encrypt(a, message, rng)
+    assert b.residue is None and not b.consumed
+    _qpk, ct = scheme.encrypt(b, message, rng)
+    if scheme.name != "prfs":
+        assert scheme.decrypt(dk, ct) == message
+    other = DecryptionKey("".join("1" if c == "0" else "0" for c in dk.bits))
+    c = scheme.qpk_gen(other)
+    assert c.states[0] is not a.states[0]
+    assert abs(sim.fidelity(c.states[0], a.states[0]) - 1.0) > 1e-6
 
 
 def test_prfs_qpk_matches_isometry():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpklab import sim
-from qpklab.bits import int_to_bits
+from qpklab.bits import bits_to_int, int_to_bits
 from qpklab.primitives import prf_eval
 from qpklab.sim import (
     DensityMatrix,
@@ -199,6 +199,66 @@ def test_project_zero_probability():
     assert prob == 0.0 and post is None
 
 
+# Index-mask versions of register selection: the reference the reshaped
+# register views in sim are checked against.
+
+
+def _reference_keep(state, wires, value):
+    idx = np.arange(state.dim, dtype=np.int64)
+    return ((idx >> wires.offset) & wires.mask) == value
+
+
+def _reference_born(state, wires):
+    idx = np.arange(state.dim, dtype=np.int64)
+    vals = (idx >> wires.offset) & wires.mask
+    weights = np.abs(state.amplitudes) ** 2
+    return np.bincount(vals, weights=weights, minlength=1 << wires.width)
+
+
+def _reference_project(state, wires, outcome):
+    amps = np.where(_reference_keep(state, wires, bits_to_int(outcome)), state.amplitudes, 0.0)
+    prob = float(np.vdot(amps, amps).real)
+    if prob <= sim.ATOL_EXACT**2:
+        return 0.0, None
+    return prob, PureState(state.qubit_count, amps / np.sqrt(prob))
+
+
+def _reference_puncture(state, marked, wires):
+    amps = np.where(_reference_keep(state, wires, bits_to_int(marked)), 0.0, state.amplitudes)
+    norm2 = float(np.vdot(amps, amps).real)
+    if norm2 <= sim.ATOL_EXACT**2:
+        raise EmptyProjectionError("puncturing removed all amplitude mass")
+    return PureState(state.qubit_count, amps / np.sqrt(norm2))
+
+
+def test_register_selection_matches_index_masks(rng):
+    for q in range(1, 7):
+        state = sim.haar_random_state(q, rng)
+        for offset in range(q + 1):
+            for width in range(q - offset + 1):
+                wires = WireRange(offset, width)
+                probs = sim.born_probabilities(state, wires)
+                reference = _reference_born(state, wires)
+                if width == q:
+                    assert probs.tobytes() == reference.tobytes()
+                else:
+                    # same sums, different summation order
+                    assert np.abs(probs - reference).max() <= 1e-15
+                for v in range(1 << width):
+                    bits = int_to_bits(v, width)
+                    prob, post = sim.project(state, wires, bits)
+                    ref_prob, ref_post = _reference_project(state, wires, bits)
+                    assert prob == ref_prob
+                    assert post.amplitudes.tobytes() == ref_post.amplitudes.tobytes()
+                    if width == 0:
+                        with pytest.raises(EmptyProjectionError):
+                            sim.puncture(state, bits, wires)
+                        continue
+                    punctured = sim.puncture(state, bits, wires)
+                    ref_punctured = _reference_puncture(state, bits, wires)
+                    assert punctured.amplitudes.tobytes() == ref_punctured.amplitudes.tobytes()
+
+
 # --- distances and tests ----------------------------------------------------
 
 
@@ -212,11 +272,18 @@ def test_fidelity_trivials(rng):
         sim.fidelity(sim.basis_state(1, "0"), sim.basis_state(2, "00"))
 
 
+@pytest.mark.filterwarnings("error")
 def test_fidelity_mixed_mixed():
     a = DensityMatrix.maximally_mixed(1)
     b = DensityMatrix.from_pure(sim.basis_state(1, "0"))
     assert abs(sim.fidelity(a, b) - 0.5) < 1e-9
+    assert abs(sim.fidelity(b, a) - 0.5) < 1e-9
     assert abs(sim.fidelity(a, a) - 1.0) < 1e-9
+    # commuting pair: F = (sum_i sqrt(p_i q_i))^2
+    p = np.array([0.5, 0.25, 0.125, 0.125])
+    q = np.array([0.1, 0.2, 0.3, 0.4])
+    rho, sigma = DensityMatrix(2, np.diag(p)), DensityMatrix(2, np.diag(q))
+    assert abs(sim.fidelity(rho, sigma) - np.sqrt(p * q).sum() ** 2) < 1e-12
 
 
 def test_trace_distance_trivials(rng):
