@@ -6,6 +6,17 @@ real-vs-fresh-key distribution identity, and the Helstrom bound on any
 adversary's distinguishing advantage. Random-function modes replace the keyed
 function with a truly random one so the results reflect information-theoretic
 structure only.
+
+Every value is exact; each oracle works only on the support that carries
+amplitude or rank:
+
+- the commuting check measures by sequential projections that keep only the
+  measured register's block, never a zero-padded full-size vector;
+- keyed Helstrom values treat each ensemble as a weighted mixture of pure
+  states and solve R S R^dagger from a reduced QR of the stacked vectors, an
+  eigenproblem the size of the number of terms;
+- the random-function Helstrom value uses rho1 = w*I and the spectrum of
+  rho0, built and solved one x* block at a time.
 """
 
 from __future__ import annotations
@@ -85,23 +96,28 @@ def _joint_distribution(state: PureState, labelled_ranges):
 
     `labelled_ranges` is a sequence of (label, WireRange); the result maps
     label-sorted outcome tuples to probabilities so different measurement
-    orders are directly comparable.
+    orders are directly comparable. Each projection keeps only the block of
+    its outcome: the measured register's wires are dropped and the registers
+    above it move down by its width, so no branch builds a full-size vector.
     """
     dist: dict = {}
 
-    def recurse(st, i, acc, prob):
-        if i == len(labelled_ranges):
+    def recurse(amps, ranges, acc, prob):
+        if not ranges:
             key = tuple(sorted(acc))
             dist[key] = dist.get(key, 0.0) + prob
             return
-        label, wires = labelled_ranges[i]
+        (label, wires), rest = ranges[0], ranges[1:]
+        rest = [(other, WireRange(w.offset - wires.width, w.width)
+                 if w.offset > wires.offset else w) for other, w in rest]
         for v in range(1 << wires.width):
-            bits = int_to_bits(v, wires.width)
-            p, post = sim.project(st, wires, bits)
-            if p > 0.0:
-                recurse(post, i + 1, acc + [(label, bits)], prob * p)
+            block = sim._register_block(amps, wires, v)
+            p = float(np.vdot(block, block).real)
+            if p > sim.ATOL_EXACT**2:
+                recurse(block / np.sqrt(p), rest,
+                        acc + [(label, int_to_bits(v, wires.width))], prob * p)
 
-    recurse(state, 0, [], 1.0)
+    recurse(state.amplitudes, list(labelled_ranges), [], 1.0)
     return dist
 
 
@@ -110,18 +126,11 @@ def total_variation(dist_a: dict, dist_b: dict) -> float:
     return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
 
 
-def commuting_measurement_check(lam: int, copies: int = 2,
-                                dk_bits: str | None = None) -> HybridReport:
-    """Measure-before vs measure-after equality for the PRF-based public key.
+def _joint_key_state(lam: int, copies: int, dk_bits: str):
+    """|qpk>^(copies+1) and its labelled input registers, challenger first.
 
-    Builds |qpk>^(p+1) explicitly (challenger's copy plus p adversary copies)
-    and compares the exact joint distribution of all input-register outcomes
-    when the challenger measures last versus first. The two orderings must
-    coincide; the report carries their total-variation distance.
+    The challenger's factor sits on the highest wires.
     """
-    if lam > 3:
-        raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
-    dk_bits = dk_bits if dk_bits is not None else "0" * lam
     n = lam
     block = lam + n
     total = block * (copies + 1)
@@ -131,12 +140,28 @@ def commuting_measurement_check(lam: int, copies: int = 2,
     f = lambda x: prf_eval(dk_bits, x, n)
     qpk = sim.apply_function_oracle(base, f, WireRange(n, lam), WireRange(0, n))
     joint = reduce(sim.tensor, [qpk] * (copies + 1))
-    # factor 0 (challenger) sits on the highest wires
     ranges = []
     for j in range(copies + 1):
         block_start = total - (j + 1) * block
         label = "challenger" if j == 0 else f"copy{j}"
         ranges.append((label, WireRange(block_start + n, lam)))
+    return joint, ranges
+
+
+def commuting_measurement_check(lam: int, copies: int = 2,
+                                dk_bits: str | None = None) -> HybridReport:
+    """Measure-before vs measure-after equality for the PRF-based public key.
+
+    Builds |qpk>^(p+1) explicitly (challenger's copy plus p adversary copies)
+    and compares the exact joint distribution of all input-register outcomes
+    when the challenger measures last versus first, by sequential sliced
+    projections (see `_joint_distribution`). The two orderings must
+    coincide; the report carries their total-variation distance.
+    """
+    if lam > 3:
+        raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
+    dk_bits = dk_bits if dk_bits is not None else "0" * lam
+    joint, ranges = _joint_key_state(lam, copies, dk_bits)
     measure_last = _joint_distribution(joint, ranges[1:] + ranges[:1])
     measure_first = _joint_distribution(joint, ranges)
     tv = total_variation(measure_last, measure_first)
@@ -195,82 +220,93 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3,
 _DENSITY_QUBIT_CAP = 11
 
 
-def _helstrom(rho0: np.ndarray, rho1: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(rho0 - rho1)
+def _mixture_distance(terms0, terms1) -> float:
+    """Half the trace norm of rho0 - rho1, each rho = sum_i w_i |v_i><v_i|.
+
+    `terms0` and `terms1` yield (weight, vector) pairs. With the vectors as
+    the columns of V and the signed weights on the diagonal of S,
+    rho0 - rho1 = V S V^dagger. A reduced QR, V = QR, leaves its nonzero
+    spectrum in R S R^dagger, whose size is the number of terms (or the
+    dimension, if that is smaller) instead of the dimension.
+    """
+    weights, vectors = [], []
+    for sign, terms in ((1.0, terms0), (-1.0, terms1)):
+        for weight, vec in terms:
+            weights.append(sign * weight)
+            vectors.append(vec)
+    r = np.linalg.qr(np.column_stack(vectors), mode="r")
+    eigs = np.linalg.eigvalsh((r * np.array(weights)) @ r.conj().T)
     return float(0.5 * np.abs(eigs).sum())
 
 
-def _prfs_rho(lam, copies, output_qubits, message):
-    """Ensemble density matrix for the function-like-state scheme, keyed mode.
+def _basis_vector(width: int, value: int) -> np.ndarray:
+    vec = np.zeros(1 << width, dtype=np.complex128)
+    vec[value] = 1.0
+    return vec
+
+
+def _tensor_power(vec: np.ndarray, copies: int) -> np.ndarray:
+    return reduce(np.kron, [vec] * copies, np.ones(1, dtype=np.complex128))
+
+
+def _prfs_terms(lam, copies, output_qubits, message):
+    """Keyed-mode ensemble of the function-like-state scheme, as (weight, vector) terms.
 
     Averages |qpk><qpk|^p (x) |x*><x*| (x) payload(m) exactly over all keys
-    and measurement outcomes.
+    and measurement outcomes. The mixed payload I/2^n of message 1 is 2^n
+    basis terms of weight 2^-n each.
     """
     d, n = lam, output_qubits
-    total = copies * (d + n) + d + n
-    if total > _DENSITY_QUBIT_CAP:
-        raise sim.CapacityError("density-matrix path exceeds capacity")
-    dim = 1 << total
-    rho = np.zeros((dim, dim), dtype=np.complex128)
     keys = [int_to_bits(v, lam) for v in range(1 << lam)]
     weight = 1.0 / (len(keys) * (1 << d))
     for key in keys:
         prfs = PhasePrfs(PrfsParams(lam, d, n))
         qpk = prfs.oracle_isometry(key, sim.uniform_superposition(d))
-        qpk_p = np.array([1.0], dtype=np.complex128)
-        for _ in range(copies):
-            qpk_p = np.kron(qpk_p, qpk.amplitudes)
+        qpk_p = _tensor_power(qpk.amplitudes, copies)
         for xv in range(1 << d):
-            ex = np.zeros(1 << d, dtype=np.complex128)
-            ex[xv] = 1.0
-            head = np.kron(qpk_p, ex)
+            head = np.kron(qpk_p, _basis_vector(d, xv))
             if message == "0":
-                psi = prfs.gen(key, int_to_bits(xv, d))
-                vec = np.kron(head, psi.amplitudes)
-                rho += weight * np.outer(vec, vec.conj())
+                yield weight, np.kron(head, prfs.gen(key, int_to_bits(xv, d)).amplitudes)
             else:
-                rho += weight * np.kron(
-                    np.outer(head, head.conj()), np.eye(1 << n) / (1 << n)
-                )
-    return rho
+                for yv in range(1 << n):
+                    yield weight / (1 << n), np.kron(head, _basis_vector(n, yv))
 
 
-def _prfs_random_rho_pair(lam, output_qubits, copies):
-    """Exact ensembles with a truly random phase function, via the parity rule.
+def _prfs_random_distance(lam, output_qubits, copies) -> float:
+    """Exact Helstrom value with a truly random phase function.
 
     The expectation over the random function of a product of amplitude phases
     is 1 when every queried point appears an even number of times and 0
-    otherwise; only those entries survive.
+    otherwise (the parity rule). The message-1 ensemble keeps no coherence:
+    rho1 = w*I with w = 1/dim, so ||rho0 - rho1||_1 = sum_i |lambda_i(rho0) - w|
+    and only the spectrum of rho0 is needed. rho0 is block-diagonal in the
+    classical x* register; each block is built from the three pairings of
+    the four queried points (k=b, 3=4), (k=3, b=4), (k=4, b=3) and solved on
+    its own.
     """
     d, n = lam, output_qubits
     if copies not in (0, 1):
         raise ValueError("random-function mode supports 0 or 1 key copies")
     if copies == 0:
         # no copy: the mixed payload and the averaged pure payload coincide
-        return None
-    dim = (1 << (d + n)) * (1 << d) * (1 << n)
-    w = (2.0 ** -d) * (2.0 ** -(d + n)) * (2.0 ** -n)
-
-    def index(xc, yc, xs, yp):
-        return ((xc << n | yc) << d | xs) << n | yp
-
-    rho1 = np.zeros((dim, dim))
-    for i in range(dim):
-        rho1[i, i] = w  # averaging kills every coherence; fully mixed
-
-    rho0 = np.zeros((dim, dim))
-    for xk in range(1 << d):
-        for yk in range(1 << n):
-            for xb in range(1 << d):
-                for yb in range(1 << n):
-                    for xs in range(1 << d):
-                        for y3 in range(1 << n):
-                            for y4 in range(1 << n):
-                                points = ((xk, yk), (xb, yb), (xs, y3), (xs, y4))
-                                if all(points.count(pt) % 2 == 0 for pt in points):
-                                    rho0[index(xk, yk, xs, y3),
-                                         index(xb, yb, xs, y4)] = w
-    return rho0, rho1
+        return 0.0
+    w = 2.0 ** -(2 * (d + n))
+    # An x* block has rows (k, y3) and columns (b, y4): k and b are the key
+    # copy's points (x, y), 3 = (x*, y3) and 4 = (x*, y4) the payload's.
+    # `same` is k=b with 3=4, `own` on both sides is k=3 with b=4, and
+    # `crossed` is k=4 with b=3.
+    idx = np.arange(1 << (d + 2 * n))
+    point, y = idx >> n, idx & ((1 << n) - 1)
+    same = np.eye(len(idx), dtype=bool)
+    total = 0.0
+    for xs in range(1 << d):
+        payload_point = (xs << n) | y
+        own = point == payload_point
+        crossed = ((point[:, None] == payload_point[None, :])
+                   & (payload_point[:, None] == point[None, :]))
+        block = w * (same | (own[:, None] & own[None, :]) | crossed)
+        total += np.abs(np.linalg.eigvalsh(block) - w).sum()
+    return float(0.5 * total)
 
 
 def optimal_advantage(scheme: str, lam: int, copies: int, messages,
@@ -280,7 +316,9 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
 
     The value upper-bounds any adversary's game advantage (win probability
     at most (1 + value) / 2) for an adversary holding `copies` public-key
-    copies plus the challenge ciphertext.
+    copies plus the challenge ciphertext. Keyed modes enumerate every key and
+    solve a rank-sized eigenproblem (`_mixture_distance`); the random mode of
+    `prfs` uses rho1 = w*I and solves rho0 one x* block at a time.
     """
     m0, m1 = messages
     if m0 == m1:
@@ -289,14 +327,13 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
         if mode == "prf":
             if lam > 3:
                 raise sim.CapacityError("exact key enumeration is limited to lam <= 3")
-            rho0 = _prfs_rho(lam, copies, output_qubits, m0)
-            rho1 = _prfs_rho(lam, copies, output_qubits, m1)
-            return EnsembleAdvantage(scheme, lam, copies, _helstrom(rho0, rho1), True, mode)
+            if (copies + 1) * (lam + output_qubits) > _DENSITY_QUBIT_CAP:
+                raise sim.CapacityError("density-matrix path exceeds capacity")
+            value = _mixture_distance(_prfs_terms(lam, copies, output_qubits, m0),
+                                      _prfs_terms(lam, copies, output_qubits, m1))
+            return EnsembleAdvantage(scheme, lam, copies, value, True, mode)
         if mode == "random":
-            pair = _prfs_random_rho_pair(lam, output_qubits, copies)
-            if pair is None:
-                return EnsembleAdvantage(scheme, lam, copies, 0.0, True, mode)
-            value = _helstrom(*pair)
+            value = _prfs_random_distance(lam, output_qubits, copies)
             return EnsembleAdvantage(scheme, lam, copies, value, True, mode)
         raise ValueError(f"unknown mode {mode!r}")
     if scheme == "owf":
@@ -326,17 +363,19 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
 
 
 def _owf_prf_advantage(lam, copies, m0, m1, prf_output_width, nonce_width):
-    """Keyed-mode ensemble bound for the PRF scheme with the stream cipher."""
+    """Keyed-mode ensemble bound for the PRF scheme with the stream cipher.
+
+    Each ensemble is a mixture over key, x* and nonce of
+    |qpk>^p (x) |x*, r, body>; `_mixture_distance` takes their trace distance.
+    """
     n = prf_output_width
     r_width = nonce_width if nonce_width is not None else n
     width = len(m0)
     total = copies * (lam + n) + lam + r_width + width
     if total > _DENSITY_QUBIT_CAP:
         raise sim.CapacityError("density-matrix path exceeds capacity")
-    dim = 1 << total
 
-    def build(message):
-        rho = np.zeros((dim, dim), dtype=np.complex128)
+    def terms(message):
         keys = [int_to_bits(v, lam) for v in range(1 << lam)]
         weight = 1.0 / (len(keys) * (1 << lam) * (1 << r_width))
         for key in keys:
@@ -344,20 +383,15 @@ def _owf_prf_advantage(lam, copies, m0, m1, prf_output_width, nonce_width):
                               sim.basis_state(n, "0" * n))
             f = lambda x: prf_eval(key, x, n)
             qpk = sim.apply_function_oracle(base, f, WireRange(n, lam), WireRange(0, n))
-            qpk_p = np.array([1.0], dtype=np.complex128)
-            for _ in range(copies):
-                qpk_p = np.kron(qpk_p, qpk.amplitudes)
+            qpk_p = _tensor_power(qpk.amplitudes, copies)
             for xv in range(1 << lam):
                 x = int_to_bits(xv, lam)
                 y = prf_eval(key, x, n)
                 for rv in range(1 << r_width):
                     r = int_to_bits(rv, r_width)
                     body = xor_bits(_keystream(y, r, width), message)
-                    tail = np.zeros(1 << (lam + r_width + width), dtype=np.complex128)
-                    tail[(xv << (r_width + width)) | (rv << width) | int(body, 2)] = 1.0
-                    vec = np.kron(qpk_p, tail)
-                    rho += weight * np.outer(vec, vec.conj())
-        return rho
+                    tail = (xv << (r_width + width)) | (rv << width) | int(body, 2)
+                    yield weight, np.kron(qpk_p, _basis_vector(lam + r_width + width, tail))
 
-    value = _helstrom(build(m0), build(m1))
+    value = _mixture_distance(terms(m0), terms(m1))
     return EnsembleAdvantage("owf", lam, copies, value, True, "prf")

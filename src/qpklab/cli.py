@@ -10,6 +10,8 @@ byte-identical output. Exit status: 0 success, 1 acceptance-check failure,
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 import numpy as np
@@ -35,6 +37,10 @@ from .schemes import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+
+# Width, in standard errors, of the Wilson interval an empirical rate must
+# place its exact value in.
+RATE_Z = 5.0
 
 CLONERS = {
     "honest-clone": HonestPlusRandomCloner,
@@ -98,6 +104,19 @@ def emit(text: str, out_path):
 # --- correctness -----------------------------------------------------------
 
 
+def rate_check_failed(successes: int, trials: int, exact: float) -> bool:
+    """True when the exact rate lies outside the empirical rate's Wilson interval.
+
+    The interval is two-sided at z = RATE_Z and closed at 0 and 1 when the
+    empirical rate attains them, so a perfect rate matches an exact 1.0.
+    """
+    from scipy.stats import binomtest  # slow to import, so imported where used
+
+    level = math.erf(RATE_Z / math.sqrt(2.0))
+    ci = binomtest(successes, trials).proportion_ci(confidence_level=level, method="wilson")
+    return not ci.low <= exact <= ci.high
+
+
 def _owf_exhaustive(scheme, message_width, rng):
     """All keys, all measurement outcomes, all messages; must never fail."""
     lam = scheme.security_param
@@ -138,6 +157,12 @@ def cmd_correctness(args, rng):
         rows.append(["prfs", "round-trip", f"{rate:.6f}", "EMPIRICAL", f"trials={args.trials}"])
         failed |= rate < 1.0 - 10 * exact_err
     else:
+        # owf above the exhaustive size is perfectly correct
+        exact = 1.0
+        if args.scheme == "prfspd":
+            exact = scheme.decrypt_success_exact()
+            tag_width = scheme.prfspd.params.tag_width
+            rows.append(["prfspd", "key-recovery", f"{exact:.6f}", "EXACT", f"t={tag_width}"])
         ok = 0
         for child in rng.spawn(args.trials):
             dk = scheme.gen(child)
@@ -147,7 +172,7 @@ def cmd_correctness(args, rng):
             ok += int(scheme.decrypt(dk, ct, child) == message)
         rate = ok / args.trials
         rows.append([args.scheme, "round-trip", f"{rate:.6f}", "EMPIRICAL", f"trials={args.trials}"])
-        failed |= rate < 0.9
+        failed |= rate_check_failed(ok, args.trials, exact)
     header = {
         "command": "correctness", "scheme": args.scheme, "lambda": args.lam,
         "n": args.n or "", "m": args.m, "trials": args.trials, "seed": args.seed,
@@ -301,6 +326,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.trials < 1:
         sys.stderr.write("error: trials must be at least 1\n")
+        return EXIT_CONFIG
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        sys.stderr.write(f"error: directory of --out {args.out!r} does not exist\n")
         return EXIT_CONFIG
     rng = np.random.default_rng(args.seed)
     try:

@@ -225,7 +225,7 @@ def estimate_advantage(runner, trials: int, rng: np.random.Generator,
     Trials use rng streams split from the master generator, merged by trial
     index, so results are reproducible bit-exactly under a fixed seed.
     """
-    from scipy.stats import binomtest  # slow to import; nothing else needs scipy.stats
+    from scipy.stats import binomtest  # slow to import, so imported where used
 
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful estimate")

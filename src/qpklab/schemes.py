@@ -237,6 +237,19 @@ class PrfspdScheme(QpkeScheme):
         body = self.ske.encrypt(k, message, rng)
         return qpk, Scheme2Ciphertext(lam, body, tuple(slots))
 
+    def decrypt_success_exact(self) -> float:
+        """Probability that decryption recovers the whole one-time key k.
+
+        A slot with k_i = 1 carries the honest proof and always verifies; a
+        slot with k_i = 0 carries a uniform proof, which verifies and flips
+        the bit with the family's accepting density 2^-t. Each of the lambda
+        bits therefore survives with probability 1 - 2^-(t+1). A round trip
+        also succeeds when a wrong key's keystream happens to match, which
+        this value does not count.
+        """
+        per_slot = 1.0 - 0.5 * self.prfspd.accepting_density()
+        return per_slot ** self.security_param
+
     def decrypt(self, dk, ct, rng=None):
         if not isinstance(ct, Scheme2Ciphertext):
             raise SchemeError("ciphertext does not belong to this scheme")

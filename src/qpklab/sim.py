@@ -213,6 +213,15 @@ def _register_view(vec: np.ndarray, wires: WireRange) -> np.ndarray:
                        1 << wires.offset)
 
 
+def _register_block(vec: np.ndarray, wires: WireRange, value: int) -> np.ndarray:
+    """Amplitudes of `vec` with `wires` fixed to `value`, as a flat vector.
+
+    The register's wires are dropped: wires below it keep their offsets and
+    wires above it move down by its width. Not renormalized.
+    """
+    return _register_view(vec, wires)[:, value, :].reshape(-1)
+
+
 def born_probabilities(state: PureState, wires: WireRange) -> np.ndarray:
     """Marginal outcome probabilities for measuring `wires` in the computational basis."""
     wires.check_fits(state.qubit_count)

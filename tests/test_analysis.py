@@ -4,6 +4,118 @@ import numpy as np
 import pytest
 
 from qpklab import analysis, sim
+from qpklab.bits import int_to_bits, xor_bits
+from qpklab.primitives import PhasePrfs, PrfsParams, _keystream, prf_eval
+from qpklab.sim import WireRange
+
+
+# --- dense references -------------------------------------------------------
+# Full-size builders of the oracles' objects, kept as cross-checks for the
+# sliced and rank-reduced paths in `analysis`.
+
+
+def _dense_distance(rho0, rho1):
+    eigs = np.linalg.eigvalsh(rho0 - rho1)
+    return float(0.5 * np.abs(eigs).sum())
+
+
+def _dense_prfs_rho(lam, copies, output_qubits, message):
+    d, n = lam, output_qubits
+    dim = 1 << (copies * (d + n) + d + n)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    keys = [int_to_bits(v, lam) for v in range(1 << lam)]
+    weight = 1.0 / (len(keys) * (1 << d))
+    for key in keys:
+        prfs = PhasePrfs(PrfsParams(lam, d, n))
+        qpk = prfs.oracle_isometry(key, sim.uniform_superposition(d))
+        qpk_p = np.array([1.0], dtype=np.complex128)
+        for _ in range(copies):
+            qpk_p = np.kron(qpk_p, qpk.amplitudes)
+        for xv in range(1 << d):
+            ex = np.zeros(1 << d, dtype=np.complex128)
+            ex[xv] = 1.0
+            head = np.kron(qpk_p, ex)
+            if message == "0":
+                psi = prfs.gen(key, int_to_bits(xv, d))
+                vec = np.kron(head, psi.amplitudes)
+                rho += weight * np.outer(vec, vec.conj())
+            else:
+                rho += weight * np.kron(
+                    np.outer(head, head.conj()), np.eye(1 << n) / (1 << n)
+                )
+    return rho
+
+
+def _dense_owf_rho(lam, copies, message, n, r_width):
+    width = len(message)
+    dim = 1 << (copies * (lam + n) + lam + r_width + width)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    keys = [int_to_bits(v, lam) for v in range(1 << lam)]
+    weight = 1.0 / (len(keys) * (1 << lam) * (1 << r_width))
+    for key in keys:
+        base = sim.tensor(sim.uniform_superposition(lam), sim.basis_state(n, "0" * n))
+        f = lambda x: prf_eval(key, x, n)
+        qpk = sim.apply_function_oracle(base, f, WireRange(n, lam), WireRange(0, n))
+        qpk_p = np.array([1.0], dtype=np.complex128)
+        for _ in range(copies):
+            qpk_p = np.kron(qpk_p, qpk.amplitudes)
+        for xv in range(1 << lam):
+            x = int_to_bits(xv, lam)
+            y = prf_eval(key, x, n)
+            for rv in range(1 << r_width):
+                r = int_to_bits(rv, r_width)
+                body = xor_bits(_keystream(y, r, width), message)
+                tail = np.zeros(1 << (lam + r_width + width), dtype=np.complex128)
+                tail[(xv << (r_width + width)) | (rv << width) | int(body, 2)] = 1.0
+                vec = np.kron(qpk_p, tail)
+                rho += weight * np.outer(vec, vec.conj())
+    return rho
+
+
+def _dense_prfs_random_rho_pair(lam, output_qubits):
+    d, n = lam, output_qubits
+    dim = (1 << (d + n)) * (1 << d) * (1 << n)
+    w = (2.0 ** -d) * (2.0 ** -(d + n)) * (2.0 ** -n)
+
+    def index(xc, yc, xs, yp):
+        return ((xc << n | yc) << d | xs) << n | yp
+
+    rho1 = np.zeros((dim, dim))
+    for i in range(dim):
+        rho1[i, i] = w
+
+    rho0 = np.zeros((dim, dim))
+    for xk in range(1 << d):
+        for yk in range(1 << n):
+            for xb in range(1 << d):
+                for yb in range(1 << n):
+                    for xs in range(1 << d):
+                        for y3 in range(1 << n):
+                            for y4 in range(1 << n):
+                                points = ((xk, yk), (xb, yb), (xs, y3), (xs, y4))
+                                if all(points.count(pt) % 2 == 0 for pt in points):
+                                    rho0[index(xk, yk, xs, y3),
+                                         index(xb, yb, xs, y4)] = w
+    return rho0, rho1
+
+
+def _projected_joint_distribution(state, labelled_ranges):
+    dist: dict = {}
+
+    def recurse(st, i, acc, prob):
+        if i == len(labelled_ranges):
+            key = tuple(sorted(acc))
+            dist[key] = dist.get(key, 0.0) + prob
+            return
+        label, wires = labelled_ranges[i]
+        for v in range(1 << wires.width):
+            bits = int_to_bits(v, wires.width)
+            p, post = sim.project(st, wires, bits)
+            if p > 0.0:
+                recurse(post, i + 1, acc + [(label, bits)], prob * p)
+
+    recurse(state, 0, [], 1.0)
+    return dist
 
 
 # --- punctured-key trace distance -------------------------------------------
@@ -51,6 +163,19 @@ def test_commuting_check_zero(lam):
 def test_commuting_single_copy():
     report = analysis.commuting_measurement_check(1, copies=1)
     assert report.value < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+@pytest.mark.parametrize("ones", [False, True])
+def test_joint_distribution_matches_projections(lam, ones):
+    dk_bits = ("1" if ones else "0") * lam
+    joint, ranges = analysis._joint_key_state(lam, 2, dk_bits)
+    for order in (ranges, ranges[1:] + ranges[:1]):
+        sliced = analysis._joint_distribution(joint, order)
+        projected = _projected_joint_distribution(joint, order)
+        assert set(sliced) == set(projected)
+        for key, prob in projected.items():
+            assert abs(sliced[key] - prob) <= 1e-15
 
 
 def test_commuting_capacity():
@@ -156,9 +281,35 @@ def test_advantage_errors():
 
 
 def test_helstrom_bound_on_density_pair():
-    rho0 = np.diag([1.0, 0.0])
-    rho1 = np.diag([0.5, 0.5])
-    assert abs(analysis._helstrom(rho0, rho1) - 0.5) < 1e-12
+    zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    value = analysis._mixture_distance([(1.0, zero)], [(0.5, zero), (0.5, one)])
+    assert abs(value - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "lam,n,copies",
+    [(lam, n, copies) for lam in (1, 2, 3) for n in (1, 2) for copies in (0, 1)]
+    + [(1, 1, 2), (1, 2, 2)],
+)
+def test_prfs_keyed_matches_dense(lam, n, copies):
+    adv = analysis.optimal_advantage("prfs", lam, copies, ("0", "1"), output_qubits=n)
+    dense = _dense_distance(_dense_prfs_rho(lam, copies, n, "0"),
+                            _dense_prfs_rho(lam, copies, n, "1"))
+    assert abs(adv.value - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("messages", [("00", "11"), ("01", "10"), ("0", "1")])
+def test_owf_keyed_matches_dense(messages):
+    adv = analysis.optimal_advantage("owf", 2, 1, messages, output_qubits=2)
+    dense = _dense_distance(*(_dense_owf_rho(2, 1, m, 2, 2) for m in messages))
+    assert abs(adv.value - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2)])
+def test_random_mode_matches_dense(d, n):
+    adv = analysis.optimal_advantage("prfs", d, 1, ("0", "1"), output_qubits=n, mode="random")
+    dense = _dense_distance(*_dense_prfs_random_rho_pair(d, n))
+    assert abs(adv.value - dense) <= 1e-12
 
 
 def test_hybrid_report_validation():

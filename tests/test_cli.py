@@ -1,6 +1,20 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from qpklab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, build_scheme, main, render
+import qpklab
+from qpklab import cli
+from qpklab.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_CONFIG,
+    EXIT_OK,
+    build_scheme,
+    main,
+    rate_check_failed,
+    render,
+)
 from qpklab.schemes import OwfScheme, PrfsScheme, PrfspdScheme
 
 
@@ -56,6 +70,31 @@ def test_too_few_trials_for_estimator(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_out_in_missing_directory_fails_before_work(capsys, tmp_path, monkeypatch):
+    def no_work(args, rng):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "cmd_analyze", no_work)
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "analyze", "--check", "random-key", "--lambda", "1",
+                             "--seed", "1", "--out", str(target))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "missing" in err
+    assert out == "" and not target.parent.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(qpklab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpklab", "analyze", "--check", "random-key",
+         "--lambda", "1", "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "random-key" in proc.stdout
+
+
 def test_build_scheme_dispatch():
     assert isinstance(build_scheme("owf", 4, 0, 1), OwfScheme)
     assert isinstance(build_scheme("prfspd", 3, 0, 1), PrfspdScheme)
@@ -86,6 +125,28 @@ def test_correctness_prfspd(capsys):
                               "--trials", "150", "--seed", "9")
     assert code == EXIT_OK
     assert "round-trip" in out
+
+
+def test_correctness_prfspd_default_judged_against_exact(capsys):
+    code, out, _err = run_cli(capsys, "correctness", "--scheme", "prfspd",
+                              "--lambda", "3", "--seed", "1")
+    assert code == EXIT_OK
+    # (1 - 2^-(t+1))^lambda at t = 2
+    assert "key-recovery  0.669922  EXACT" in out
+    assert "EMPIRICAL" in out
+
+
+def test_rate_judge_against_wilson_interval():
+    assert not rate_check_failed(670, 1000, 0.669921875)
+    assert rate_check_failed(900, 1000, 0.669921875)
+    assert rate_check_failed(400, 1000, 0.669921875)
+    # a perfectly correct scheme passes only with no failure at all
+    assert not rate_check_failed(1000, 1000, 1.0)
+    assert rate_check_failed(999, 1000, 1.0)
+    assert not rate_check_failed(0, 1000, 0.0)
+    # z = 5 around 0.67 at 1000 trials: about 0.592 to 0.739
+    assert not rate_check_failed(670, 1000, 0.735)
+    assert rate_check_failed(670, 1000, 0.745)
 
 
 # --- games ------------------------------------------------------------------

@@ -196,6 +196,24 @@ def test_prfspd_slot_flip_flips_key_bit(rng):
     assert flips / trials >= 1 - 2**-4 - 3 * math.sqrt(2**-4 / trials)
 
 
+@pytest.mark.parametrize("lam,m,t", [(2, 1, 1), (3, 1, 2), (3, 2, 1)])
+def test_prfspd_decrypt_success_exact_enumerated(rng, lam, m, t):
+    # enumerate each slot's key bit and every random proof against the real
+    # verifier: bit 1 keeps the honest proof, bit 0 a uniform one
+    scheme = make_prfspd_scheme(lam, m, t)
+    dk = scheme.gen(rng)
+    qpk, _ct = scheme.encrypt(scheme.qpk_gen(dk), "1", rng)
+    c = scheme.prfspd.params.proof_width
+    success = 1.0
+    for x, y in qpk.residue:
+        honest = scheme.prfspd.verify(dk.bits, x, PrfspdProof(y))
+        rejected = sum(1 - scheme.prfspd.verify(dk.bits, x, PrfspdProof(int_to_bits(v, c)))
+                       for v in range(1 << c))
+        success *= 0.5 * honest + 0.5 * rejected / (1 << c)
+    assert abs(scheme.decrypt_success_exact() - success) < 1e-12
+    assert abs(scheme.decrypt_success_exact() - (1 - 2.0 ** -(t + 1)) ** lam) < 1e-12
+
+
 def test_prfspd_residue_fixed_but_key_fresh(rng):
     scheme = make_prfspd_scheme(3, 1, 3)
     dk = scheme.gen(rng)

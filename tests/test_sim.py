@@ -259,6 +259,20 @@ def test_register_selection_matches_index_masks(rng):
                     assert punctured.amplitudes.tobytes() == ref_punctured.amplitudes.tobytes()
 
 
+def test_register_block_drops_the_register(rng):
+    for q in range(1, 7):
+        state = sim.haar_random_state(q, rng)
+        idx = np.arange(state.dim)
+        for offset in range(q + 1):
+            for width in range(q - offset + 1):
+                wires = WireRange(offset, width)
+                for v in range(1 << width):
+                    block = sim._register_block(state.amplitudes, wires, v)
+                    # the kept indices in increasing order: wires above move down
+                    reference = state.amplitudes[((idx >> offset) & wires.mask) == v]
+                    assert block.tobytes() == reference.tobytes()
+
+
 # --- distances and tests ----------------------------------------------------
 
 
