@@ -13,7 +13,6 @@ import numpy as np
 from . import sim
 from .bits import random_bits, xor_bits
 from .schemes import PrfsScheme, Scheme3Ciphertext
-from .sim import PureState, WireRange
 
 
 class AdversaryStrategy:
@@ -112,11 +111,8 @@ class StateComparisonAdversary(AdversaryStrategy):
         return "0", "1"
 
     def receive_challenge(self, ct: Scheme3Ciphertext):
-        d = self.scheme.prfs.params.input_width
-        n = self.scheme.prfs.params.output_qubits
-        x, post = sim.measure_computational(self.copy, WireRange(n, d), self.rng)
-        block = post.amplitudes[int(x, 2) << n : (int(x, 2) + 1) << n]
-        reference = PureState(n, block)
+        _x, reference = sim.measure_control(self.copy, self.scheme.prfs.params.input_width,
+                                            self.rng)
         if self.amplified:
             self.accepted, _ = sim.project_onto(ct.payload, reference, self.rng)
         else:
@@ -141,7 +137,7 @@ class CopyMeasureAdversary(AdversaryStrategy):
 
     def receive_public_key_copy(self, qpk):
         state = qpk.states[0]
-        outcome, _ = sim.measure_computational(state, state.full_range(), self.rng)
+        outcome = sim.sample_outcome(state, state.full_range(), self.rng)
         lam = self.scheme.security_param
         self.seen[outcome[:lam]] = outcome[lam:]
 
@@ -251,7 +247,7 @@ class HonestPlusRandomCloner(CloningAdversary):
         proofs = []
         for _ in range(self.copies):
             state = gen_oracle(x)
-            outcome, _ = sim.measure_computational(state, state.full_range(), rng)
+            outcome = sim.sample_outcome(state, state.full_range(), rng)
             proofs.append(outcome)
         proofs.append(random_bits(self.params.proof_width, rng))
         return x, proofs
@@ -266,7 +262,7 @@ class DuplicateCloner(CloningAdversary):
     def run(self, gen_oracle, ver_oracle, rng):
         x = "0" * self.params.input_width
         state = gen_oracle(x)
-        outcome, _ = sim.measure_computational(state, state.full_range(), rng)
+        outcome = sim.sample_outcome(state, state.full_range(), rng)
         return x, [outcome, outcome]
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from . import sim
 from .bits import int_to_bits, xor_bits
 from .primitives import PhasePrfs, PrfsParams, _keystream, prf_eval
+from .schemes import DecryptionKey, OwfScheme
 from .sim import PureState, WireRange
 
 
@@ -69,8 +70,9 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
                                     x_star: str | None = None) -> float:
     """Cross-check path: build the key and its punctured version explicitly.
 
-    Constructs |qpk> = sum_x |x>|f_dk(x)> and the renormalized state with x*
-    projected out, tensors p copies of each, and returns their trace distance.
+    Takes the OWF scheme's public key |qpk> = sum_x |x>|f_dk(x)> and the
+    renormalized state with x* projected out, tensors p copies of each, and
+    returns their trace distance.
     """
     if copies < 1:
         return 0.0
@@ -79,9 +81,7 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
     n = prf_output_width
     if copies * (lam + n) > sim.q_max():
         raise sim.CapacityError("explicit tensor construction exceeds qubit capacity")
-    base = sim.tensor(sim.uniform_superposition(lam), sim.basis_state(n, "0" * n))
-    f = lambda x: prf_eval(dk_bits, x, n)
-    qpk = sim.apply_function_oracle(base, f, WireRange(n, lam), WireRange(0, n))
+    qpk = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk_bits)).states[0]
     punctured = sim.puncture(qpk, x_star, WireRange(n, lam))
     full = reduce(sim.tensor, [qpk] * copies)
     full_punct = reduce(sim.tensor, [punctured] * copies)
@@ -136,9 +136,7 @@ def _joint_key_state(lam: int, copies: int, dk_bits: str):
     total = block * (copies + 1)
     if total > sim.q_max():
         raise sim.CapacityError("joint state exceeds qubit capacity")
-    base = sim.tensor(sim.uniform_superposition(lam), sim.basis_state(n, "0" * n))
-    f = lambda x: prf_eval(dk_bits, x, n)
-    qpk = sim.apply_function_oracle(base, f, WireRange(n, lam), WireRange(0, n))
+    qpk = OwfScheme(lam).qpk_gen(DecryptionKey(dk_bits)).states[0]
     joint = reduce(sim.tensor, [qpk] * (copies + 1))
     ranges = []
     for j in range(copies + 1):
@@ -375,14 +373,13 @@ def _owf_prf_advantage(lam, copies, m0, m1, prf_output_width, nonce_width):
     if total > _DENSITY_QUBIT_CAP:
         raise sim.CapacityError("density-matrix path exceeds capacity")
 
+    scheme = OwfScheme(lam, prf_output_width=n)
+
     def terms(message):
         keys = [int_to_bits(v, lam) for v in range(1 << lam)]
         weight = 1.0 / (len(keys) * (1 << lam) * (1 << r_width))
         for key in keys:
-            base = sim.tensor(sim.uniform_superposition(lam),
-                              sim.basis_state(n, "0" * n))
-            f = lambda x: prf_eval(key, x, n)
-            qpk = sim.apply_function_oracle(base, f, WireRange(n, lam), WireRange(0, n))
+            qpk = scheme.qpk_gen(DecryptionKey(key)).states[0]
             qpk_p = _tensor_power(qpk.amplitudes, copies)
             for xv in range(1 << lam):
                 x = int_to_bits(xv, lam)

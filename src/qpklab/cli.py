@@ -143,30 +143,24 @@ def cmd_correctness(args, rng):
         rate = ok / total
         rows.append(["owf", "round-trip", f"{rate:.6f}", "EXACT", f"cases={total}"])
         failed |= rate != 1.0
-    elif args.scheme == "prfs":
-        exact_err = 2.0 ** -scheme.prfs.params.output_qubits
-        rows.append(["prfs", "m1-error", f"{exact_err:.6f}", "EXACT", "density-path"])
-        ok = 0
-        for child in rng.spawn(args.trials):
-            dk = scheme.gen(child)
-            message = str(child.integers(2))
-            qpk = scheme.qpk_gen(dk)
-            _, ct = scheme.encrypt(qpk, message, child)
-            ok += int(scheme.decrypt(dk, ct, child) == message)
-        rate = ok / args.trials
-        rows.append(["prfs", "round-trip", f"{rate:.6f}", "EMPIRICAL", f"trials={args.trials}"])
-        failed |= rate < 1.0 - 10 * exact_err
     else:
         # owf above the exhaustive size is perfectly correct
         exact = 1.0
-        if args.scheme == "prfspd":
+        draw_message = lambda child: random_bits(8, child)
+        if args.scheme == "prfs":
+            exact_err = 2.0 ** -scheme.prfs.params.output_qubits
+            rows.append(["prfs", "m1-error", f"{exact_err:.6f}", "EXACT", "density-path"])
+            # one-bit messages, uniform: only message 1 can fail
+            exact = 1.0 - exact_err / 2
+            draw_message = lambda child: str(child.integers(2))
+        elif args.scheme == "prfspd":
             exact = scheme.decrypt_success_exact()
             tag_width = scheme.prfspd.params.tag_width
             rows.append(["prfspd", "key-recovery", f"{exact:.6f}", "EXACT", f"t={tag_width}"])
         ok = 0
         for child in rng.spawn(args.trials):
             dk = scheme.gen(child)
-            message = random_bits(8, child)
+            message = draw_message(child)
             qpk = scheme.qpk_gen(dk)
             _, ct = scheme.encrypt(qpk, message, child)
             ok += int(scheme.decrypt(dk, ct, child) == message)

@@ -36,7 +36,6 @@ class GameTranscript:
     valid: bool = True
     queries: list = field(default_factory=list)
     challenge: tuple | None = None
-    seed_info: str = ""
     events: list = field(default_factory=list)
 
     def add_event(self, phase: str, actor: str, payload: str):

@@ -11,14 +11,13 @@ correctness contracts exactly while staying enumerable at tiny widths.
 from __future__ import annotations
 
 import hashlib
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import sim
 from .bits import bits_to_int, check_bits, int_to_bits, random_bits, xor_bits
-from .sim import PureState, WireRange
+from .sim import PureState
 
 
 def _sha_bits(label: str, want: int) -> str:
@@ -51,26 +50,22 @@ class RandomFunctionTable:
     """Lazy random function bitstring -> bitstring with a fixed output width.
 
     Each fresh input gets an i.i.d. uniform output on first query; repeat
-    queries always return the stored value. First queries are serialized so
-    concurrent callers agree on a single value.
+    queries always return the stored value.
     """
 
     def __init__(self, out_width: int, rng: np.random.Generator):
         self.out_width = out_width
         self._rng = rng
         self._table: dict[str, str] = {}
-        self._lock = threading.Lock()
 
     def __call__(self, x: str) -> str:
         check_bits(x)
-        with self._lock:
-            if x not in self._table:
-                self._table[x] = random_bits(self.out_width, self._rng)
-            return self._table[x]
+        if x not in self._table:
+            self._table[x] = random_bits(self.out_width, self._rng)
+        return self._table[x]
 
     def known_entries(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._table)
+        return dict(self._table)
 
 
 @dataclass(frozen=True)
@@ -119,9 +114,6 @@ class PrfsParams:
     key_width: int
     input_width: int
     output_qubits: int
-    # records whether the configured input width is meant to scale
-    # super-logarithmically in the security parameter
-    superlogarithmic_input: bool = True
 
     def __post_init__(self):
         if self.output_qubits < 1:
@@ -170,14 +162,7 @@ class PhasePrfs:
             raise sim.DimensionMismatchError("input register width does not match d")
         if d + n > sim.q_max():
             raise sim.CapacityError("isometry output exceeds qubit capacity")
-        out = np.zeros(1 << (d + n), dtype=np.complex128)
-        for xv in range(1 << d):
-            a = state.amplitudes[xv]
-            if a == 0:
-                continue
-            psi = self.gen(key, int_to_bits(xv, d))
-            out[xv << n : (xv << n) + (1 << n)] = a * psi.amplitudes
-        return PureState(d + n, out)
+        return sim.controlled_state(state, n, lambda x: self.gen(key, x).amplitudes)
 
     def test_exact(self, key: str, x: str, candidate) -> float:
         """Acceptance probability of the tester: fidelity with the generated state."""
@@ -275,7 +260,7 @@ class ToyPrfspd:
     def delete(self, state: PureState, rng: np.random.Generator) -> PrfspdProof:
         if state.qubit_count != self.params.output_qubits:
             raise sim.DimensionMismatchError("state width does not match the family")
-        outcome, _post = sim.measure_computational(state, state.full_range(), rng)
+        outcome = sim.sample_outcome(state, state.full_range(), rng)
         return PrfspdProof(outcome)
 
     def verify(self, key: str, x: str, proof: PrfspdProof) -> int:
@@ -287,34 +272,3 @@ class ToyPrfspd:
     def accepting_density(self) -> float:
         """Probability that a uniformly random proof verifies (any key, input)."""
         return 2.0 ** -self.params.tag_width
-
-
-@dataclass(frozen=True)
-class PrimitiveConfig:
-    """Serializable width configuration shared by the CLI and reports."""
-
-    security_param: int
-    input_width: int
-    output_qubits: int
-    measured_width: int
-    proof_width: int
-    instantiation: str
-
-    FIELDS = ("security_param", "input_width", "output_qubits",
-              "measured_width", "proof_width", "instantiation")
-
-    def to_text(self) -> str:
-        return "".join(f"{name}={getattr(self, name)}\n" for name in self.FIELDS)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PrimitiveConfig":
-        values = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            name, _, raw = line.partition("=")
-            values[name] = raw
-        kwargs = {name: (values[name] if name == "instantiation" else int(values[name]))
-                  for name in cls.FIELDS}
-        return cls(**kwargs)

@@ -3,7 +3,7 @@
 Every scheme follows the four-algorithm shape: classical key generation, pure
 quantum public-key generation (repeated calls yield the identical state),
 encryption returning a recycled key alongside the ciphertext, and decryption
-from the classical key.
+from the classical key. Every public key is one `sim.controlled_state`.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
   the outcome, and symmetric-encrypts under the measured PRF value. Classical
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .bits import check_bits, int_to_bits, pack_bits, random_bits, unpack_bits
+from .bits import bits_to_int, check_bits, pack_bits, random_bits, unpack_bits
 from .primitives import (
     PhasePrfs,
     PrfspdProof,
@@ -33,7 +33,7 @@ from .primitives import (
     ToyPrfspd,
     prf_eval,
 )
-from .sim import DensityMatrix, PureState, WireRange
+from .sim import DensityMatrix
 
 
 class SchemeError(ValueError):
@@ -150,19 +150,15 @@ class OwfScheme(QpkeScheme):
         if security_param + self.prf_output_width > sim.q_max():
             raise sim.CapacityError("public key exceeds qubit capacity")
 
-    def _x_range(self) -> WireRange:
-        return WireRange(self.prf_output_width, self.security_param)
-
-    def _y_range(self) -> WireRange:
-        return WireRange(0, self.prf_output_width)
-
     def _public_states(self, dk: DecryptionKey) -> tuple:
-        base = sim.tensor(
-            sim.uniform_superposition(self.security_param),
-            sim.basis_state(self.prf_output_width, "0" * self.prf_output_width),
-        )
-        f = lambda x: self.prf(dk.bits, x, self.prf_output_width)
-        return (sim.apply_function_oracle(base, f, self._x_range(), self._y_range()),)
+        n = self.prf_output_width
+
+        def image(x):
+            vec = np.zeros(1 << n, dtype=np.complex128)
+            vec[bits_to_int(check_bits(self.prf(dk.bits, x, n), n))] = 1.0
+            return vec
+
+        return (sim.controlled_state(sim.uniform_superposition(self.security_param), n, image),)
 
     def _ciphertext_for(self, y: str, x: str, message: str, rng) -> Scheme1Ciphertext:
         # shared by encrypt (post-measurement) and exhaustive correctness runs
@@ -172,7 +168,7 @@ class OwfScheme(QpkeScheme):
         self.check_message(message)
         if qpk.residue is None:
             state = qpk.states[0]
-            outcome, _post = sim.measure_computational(state, state.full_range(), rng)
+            outcome = sim.sample_outcome(state, state.full_range(), rng)
             lam = self.security_param
             qpk.residue = (outcome[:lam], outcome[lam:])
         x, y = qpk.residue
@@ -204,23 +200,16 @@ class PrfspdScheme(QpkeScheme):
 
     def _public_states(self, dk: DecryptionKey) -> tuple:
         lam = self.security_param
-        n = self.prfspd.params.output_qubits
-        amps = np.zeros(1 << (lam + n), dtype=np.complex128)
-        scale = (1 << lam) ** -0.5
-        for xv in range(1 << lam):
-            psi = self.prfspd.gen(dk.bits, int_to_bits(xv, lam))
-            amps[xv << n : (xv + 1) << n] = scale * psi.amplitudes
-        return (PureState(lam + n, amps),) * lam
+        slot = sim.controlled_state(sim.uniform_superposition(lam),
+                                    self.prfspd.params.output_qubits,
+                                    lambda x: self.prfspd.gen(dk.bits, x).amplitudes)
+        return (slot,) * lam
 
     def _measure_slots(self, qpk: QuantumPublicKey, rng):
-        lam = self.security_param
-        n = self.prfspd.params.output_qubits
         residue = []
         for slot in qpk.states:
-            x, post = sim.measure_computational(slot, WireRange(n, lam), rng)
-            block = post.amplitudes[int(x, 2) << n : (int(x, 2) + 1) << n]
-            proof = self.prfspd.delete(PureState(n, block), rng)
-            residue.append((x, proof.bits))
+            x, block = sim.measure_control(slot, self.security_param, rng)
+            residue.append((x, self.prfspd.delete(block, rng).bits))
         qpk.residue = tuple(residue)
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
@@ -295,13 +284,10 @@ class PrfsScheme(QpkeScheme):
         self.check_message(message)
         if qpk.consumed:
             raise KeyConsumedError("public key already used; the scheme is single-shot")
-        d = self.prfs.params.input_width
         n = self.prfs.params.output_qubits
-        state = qpk.states[0]
-        x, post = sim.measure_computational(state, WireRange(n, d), rng)
+        x, block = sim.measure_control(qpk.states[0], self.prfs.params.input_width, rng)
         if message == "0":
-            block = post.amplitudes[int(x, 2) << n : (int(x, 2) + 1) << n]
-            payload = PureState(n, block)
+            payload = block
         elif mixed_as_density:
             payload = DensityMatrix.maximally_mixed(n)
         else:

@@ -8,6 +8,12 @@ gate set and no noise model, only what the constructions actually use.
 
 Bit order is little-endian: qubit 0 is the least significant bit of the basis
 index. A register of width w at offset o holds the bits (index >> o) & (2^w-1).
+
+Every public key in the package is a controlled state sum_x a_x |x>|phi_x>:
+the control register x sits on the high wires and the block phi_x on the
+wires below it, so the block of x is the contiguous slice of amplitudes
+[x * 2^b, (x + 1) * 2^b) for a b-qubit block. `controlled_state` builds one
+and `measure_control` measures x and returns what is left of the block.
 """
 
 from __future__ import annotations
@@ -67,9 +73,6 @@ class WireRange:
                 f"wire range [{self.offset}, {self.offset + self.width}) exceeds {qubit_count} qubits"
             )
 
-    def extract(self, index: int) -> int:
-        return (index >> self.offset) & self.mask
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -95,18 +98,6 @@ class PureState:
 
     def full_range(self) -> WireRange:
         return WireRange(0, self.qubit_count)
-
-    def dump(self) -> str:
-        """Debug dump: one `(index, re, im)` line per nonzero amplitude.
-
-        Little-endian contract: qubit 0 is the least significant bit of the
-        basis index.
-        """
-        lines = []
-        for i, a in enumerate(self.amplitudes):
-            if abs(a) > ATOL_EXACT:
-                lines.append(f"{i} {a.real:.12e} {a.imag:.12e}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -168,6 +159,21 @@ def tensor(a: PureState, b: PureState) -> PureState:
     if q > q_max():
         raise CapacityError(f"tensor product needs {q} qubits, capacity is {q_max()}")
     return PureState(q, np.kron(a.amplitudes, b.amplitudes))
+
+
+def controlled_state(control: PureState, block_qubits: int, block_of) -> PureState:
+    """sum_x a_x |x>|block_of(x)> for control = sum_x a_x |x>, control on the high wires.
+
+    `block_of` maps a control value x (a bitstring) to the amplitude vector
+    of its `block_qubits`-qubit block, and is called only where a_x != 0.
+    """
+    q = control.qubit_count + block_qubits
+    if q > q_max():
+        raise CapacityError(f"controlled state needs {q} qubits, capacity is {q_max()}")
+    amps = np.zeros((control.dim, 1 << block_qubits), dtype=np.complex128)
+    for xv in np.flatnonzero(control.amplitudes).tolist():
+        amps[xv] = control.amplitudes[xv] * block_of(int_to_bits(xv, control.qubit_count))
+    return PureState(q, amps.reshape(-1))
 
 
 def apply_function_oracle(state, f, in_range: WireRange, out_range: WireRange) -> PureState:
@@ -245,16 +251,30 @@ def project(state: PureState, wires: WireRange, outcome: str):
     return prob, PureState(state.qubit_count, amps / np.sqrt(prob))
 
 
-def measure_computational(state: PureState, wires: WireRange, rng: np.random.Generator):
-    """Born-rule measurement of `wires`; returns (outcome bitstring, post-state)."""
+def sample_outcome(state: PureState, wires: WireRange, rng: np.random.Generator) -> str:
+    """Born-rule outcome of measuring `wires`, for callers that discard the post-state."""
     probs = born_probabilities(state, wires)
     total = probs.sum()
     assert abs(total - 1.0) < 1e-8
-    outcome_val = int(rng.choice(len(probs), p=probs / total))
-    outcome = int_to_bits(outcome_val, wires.width)
+    return int_to_bits(int(rng.choice(len(probs), p=probs / total)), wires.width)
+
+
+def measure_computational(state: PureState, wires: WireRange, rng: np.random.Generator):
+    """Born-rule measurement of `wires`; returns (outcome bitstring, post-state)."""
+    outcome = sample_outcome(state, wires, rng)
     prob, post = project(state, wires, outcome)
     assert post is not None, "sampled outcome has zero projection"
     return outcome, post
+
+
+def measure_control(state: PureState, control_width: int, rng: np.random.Generator):
+    """Measure the control register of a controlled state; returns (x, block).
+
+    The block is the renormalized state left on the wires below the control.
+    """
+    wires = WireRange(state.qubit_count - control_width, control_width)
+    x, post = measure_computational(state, wires, rng)
+    return x, PureState(wires.offset, _register_block(post.amplitudes, wires, bits_to_int(x)))
 
 
 def puncture(state: PureState, marked: str, wires: WireRange) -> PureState:

@@ -119,6 +119,16 @@ def test_correctness_prfs(capsys):
     assert "m1-error" in out and "0.125000" in out
 
 
+def test_correctness_prfs_judged_against_exact_round_trip(capsys, monkeypatch):
+    # a decryptor that always answers 0 round-trips half the one-bit messages,
+    # far below the exact rate 1 - 2^-(n+1)
+    monkeypatch.setattr(PrfsScheme, "decrypt", lambda self, dk, ct, rng=None: "0")
+    code, out, _err = run_cli(capsys, "correctness", "--scheme", "prfs", "--n", "3",
+                              "--trials", "200", "--seed", "1")
+    assert code == EXIT_CHECK_FAILED
+    assert "round-trip" in out
+
+
 def test_correctness_prfspd(capsys):
     code, out, _err = run_cli(capsys, "correctness", "--scheme", "prfspd",
                               "--lambda", "3", "--n", "6",

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from qpklab.primitives import (
     PrfsParams,
     PrfspdParams,
     PrfspdProof,
-    PrimitiveConfig,
     RandomFunctionTable,
     StreamSke,
     TablePrfs,
@@ -86,25 +84,6 @@ def test_table_consistency():
         assert len(y) == 6
         assert seen.setdefault(x, y) == y
     assert table.known_entries() == seen
-
-
-def test_table_thread_agreement():
-    table = RandomFunctionTable(16, np.random.default_rng(1))
-    results = [[] for _ in range(8)]
-
-    def worker(out):
-        for v in range(64):
-            out.append(table(int_to_bits(v, 6)))
-
-    threads = [threading.Thread(target=worker, args=(r,)) for r in results]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
-
-
-# --- symmetric encryption ---------------------------------------------------
 
 
 def test_ske_round_trip(rng):
@@ -310,12 +289,3 @@ def test_prfspd_errors(rng):
         pd.delete(sim.uniform_superposition(3), rng)
     with pytest.raises(ValueError):
         pd.verify("101", "010", PrfspdProof("01"))
-
-
-# --- configuration record ---------------------------------------------------
-
-
-def test_primitive_config_round_trip():
-    cfg = PrimitiveConfig(4, 4, 2, 1, 3, "phase")
-    assert PrimitiveConfig.from_text(cfg.to_text()) == cfg
-    assert "security_param=4" in cfg.to_text()

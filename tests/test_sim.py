@@ -81,21 +81,12 @@ def test_density_matrix_validation():
 def test_wire_range():
     r = WireRange(2, 3)
     assert r.mask == 0b111
-    assert r.extract(0b10100) == 0b101
     assert r.overlaps(WireRange(4, 2))
     assert not r.overlaps(WireRange(5, 2))
     with pytest.raises(ValueError):
         WireRange(-1, 2)
     with pytest.raises(ValueError):
         WireRange(0, 3).check_fits(2)
-
-
-def test_dump_format():
-    s = sim.basis_state(2, "10")
-    lines = s.dump().splitlines()
-    assert len(lines) == 1
-    idx, re, im = lines[0].split()
-    assert int(idx) == 2 and float(re) == 1.0 and float(im) == 0.0
 
 
 # --- oracles ----------------------------------------------------------------
@@ -192,6 +183,16 @@ def test_measurement_idempotent(rng):
     for _ in range(3):
         out2, post = sim.measure_computational(post, wires, rng)
         assert out2 == out1
+
+
+def test_sample_outcome_draws_what_measurement_draws():
+    state = sim.haar_random_state(5, np.random.default_rng(3))
+    for wires in (state.full_range(), WireRange(2, 3)):
+        for seed in range(50):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sim.sample_outcome(state, wires, rng_a) == \
+                sim.measure_computational(state, wires, rng_b)[0]
+            assert rng_a.random() == rng_b.random()
 
 
 def test_project_zero_probability():
