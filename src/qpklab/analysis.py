@@ -12,9 +12,9 @@ amplitude or rank:
 
 - the commuting check measures by sequential projections that keep only the
   measured register's block, never a zero-padded full-size vector;
-- keyed Helstrom values treat each ensemble as a weighted mixture of pure
-  states and solve R S R^dagger from a reduced QR of the stacked vectors, an
-  eigenproblem the size of the number of terms;
+- keyed Helstrom values work from Gram matrices: p key copies are the power
+  C^p of the key-state overlaps, one block per classical label (x* or (x*, r,
+  body)), and block eigenvalues below 1e-12 times the largest are dropped;
 - the random-function Helstrom value uses rho1 = w*I and the spectrum of
   rho0, built and solved one x* block at a time.
 """
@@ -126,6 +126,16 @@ def total_variation(dist_a: dict, dist_b: dict) -> float:
     return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
 
 
+def _uniform_over(outcomes) -> dict:
+    """Distribution of a uniformly drawn entry of an enumeration (repeats count)."""
+    dist: dict = {}
+    count = 0
+    for outcome in outcomes:
+        dist[outcome] = dist.get(outcome, 0.0) + 1.0
+        count += 1
+    return {k: v / count for k, v in dist.items()}
+
+
 def _joint_key_state(lam: int, copies: int, dk_bits: str):
     """|qpk>^(copies+1) and its labelled input registers, challenger first.
 
@@ -184,12 +194,13 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3,
     if lam > 3:
         raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
     xs_all = [int_to_bits(v, lam) for v in range(1 << lam)]
-    n = out_width
-    vals = [int_to_bits(v, n) for v in range(1 << n)]
+    vals = [int_to_bits(v, out_width) for v in range(1 << out_width)]
 
-    def visible_distribution(key_from_table: bool) -> dict:
-        dist: dict = {}
-        count = 0
+    # the bodies depend only on (key, nonce): tabulate them once
+    bodies_of = {(key, r): xor_bits(_keystream(key, r, len(message)), message)
+                 for key in vals for r in vals}
+
+    def visible(key_from_table: bool):
         for x_star in xs_all:
             others = [x for x in xs_all if x != x_star]
             for rest in itertools.product(vals, repeat=len(others)):
@@ -197,77 +208,107 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3,
                     for z in vals:
                         key = h_star if key_from_table else z
                         for nonces in itertools.product(vals, repeat=queries):
-                            bodies = tuple(
-                                (r, xor_bits(_keystream(key, r, len(message)), message))
-                                for r in nonces
-                            )
-                            visible = (x_star, rest, bodies)
-                            dist[visible] = dist.get(visible, 0.0) + 1.0
-                            count += 1
-        return {k: v / count for k, v in dist.items()}
+                            yield x_star, rest, tuple((r, bodies_of[key, r]) for r in nonces)
 
-    tv = total_variation(visible_distribution(True), visible_distribution(False))
-    return HybridReport(
-        "H3-H4", "total-variation", tv,
-        {"lam": lam, "queries": queries, "out_width": out_width},
-    )
+    tv = total_variation(_uniform_over(visible(True)), _uniform_over(visible(False)))
+    return HybridReport("H3-H4", "total-variation", tv,
+                        {"lam": lam, "queries": queries, "out_width": out_width})
 
 
 # --- Helstrom bound on the distinguishing advantage -----------------------
 
-_DENSITY_QUBIT_CAP = 11
+# Relative cut for a Gram block's eigenvalues: blocks are rank-deficient (at
+# p=0 always), and the square root of their rounding noise would reach the value.
+_RANK_TOL = 1e-12
 
 
-def _mixture_distance(terms0, terms1) -> float:
-    """Half the trace norm of rho0 - rho1, each rho = sum_i w_i |v_i><v_i|.
+def _check_gram_budget(entries: int) -> None:
+    """Key states and Gram blocks may hold no more entries than a q_max-qubit state."""
+    if entries > 1 << sim.q_max():
+        raise sim.CapacityError(f"Gram path needs {entries} entries, more than 2^{sim.q_max()}")
 
-    `terms0` and `terms1` yield (weight, vector) pairs. With the vectors as
-    the columns of V and the signed weights on the diagonal of S,
-    rho0 - rho1 = V S V^dagger. A reduced QR, V = QR, leaves its nonzero
-    spectrum in R S R^dagger, whose size is the number of terms (or the
-    dimension, if that is smaller) instead of the dimension.
+
+def _block_distance(gram: np.ndarray, weights: np.ndarray) -> float:
+    """Half the trace norm of V S V^dagger, given only G = V^dagger V.
+
+    S = diag(weights) holds the signed weights of V's columns. From `eigh`,
+    G = L L^dagger with L of full column rank (eigenvalues below _RANK_TOL
+    times the largest dropped); V S V^dagger then has the nonzero spectrum
+    of L^dagger S L.
     """
-    weights, vectors = [], []
-    for sign, terms in ((1.0, terms0), (-1.0, terms1)):
-        for weight, vec in terms:
-            weights.append(sign * weight)
-            vectors.append(vec)
-    r = np.linalg.qr(np.column_stack(vectors), mode="r")
-    eigs = np.linalg.eigvalsh((r * np.array(weights)) @ r.conj().T)
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > _RANK_TOL * vals[-1]
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    eigs = np.linalg.eigvalsh((factor.conj().T * weights) @ factor)
     return float(0.5 * np.abs(eigs).sum())
 
 
-def _basis_vector(width: int, value: int) -> np.ndarray:
-    vec = np.zeros(1 << width, dtype=np.complex128)
-    vec[value] = 1.0
-    return vec
+def _gram_distance(key_states: np.ndarray, copies: int, terms0, terms1) -> float:
+    """Trace distance of two mixtures of |qpk_k>^p (x) |label> (x) |payload>.
 
-
-def _tensor_power(vec: np.ndarray, copies: int) -> np.ndarray:
-    return reduce(np.kron, [vec] * copies, np.ones(1, dtype=np.complex128))
-
-
-def _prfs_terms(lam, copies, output_qubits, message):
-    """Keyed-mode ensemble of the function-like-state scheme, as (weight, vector) terms.
-
-    Averages |qpk><qpk|^p (x) |x*><x*| (x) payload(m) exactly over all keys
-    and measurement outcomes. The mixed payload I/2^n of message 1 is 2^n
-    basis terms of weight 2^-n each.
+    The terms are (label, weight, k, payload) with k a row of `key_states`.
+    Inner products factor as C[k,k']^p * delta_label * <payload|payload'>
+    with C the key-state overlaps: the copies are an exponent on C, and each
+    classical label is a block of its own.
     """
+    overlap = (key_states.conj() @ key_states.T) ** copies
+    blocks: dict = {}
+    for sign, terms in ((1.0, terms0), (-1.0, terms1)):
+        for label, weight, k, payload in terms:
+            blocks.setdefault(label, []).append((sign * weight, k, payload))
+    total = 0.0
+    for rows in blocks.values():
+        weights, keys, payloads = (np.array(col) for col in zip(*rows))
+        gram = overlap[np.ix_(keys, keys)] * (payloads.conj() @ payloads.T)
+        total += _block_distance(gram, weights)
+    return total
+
+
+def _prfs_keyed_distance(lam, copies, output_qubits, m0, m1) -> float:
+    """Keyed `prfs` ensembles: |qpk_k>^p (x) |x*> (x) payload(m) over all k, x*, one
+    block per x*. The mixed payload I/2^n of message 1 is 2^n basis terms."""
     d, n = lam, output_qubits
     keys = [int_to_bits(v, lam) for v in range(1 << lam)]
-    weight = 1.0 / (len(keys) * (1 << d))
-    for key in keys:
-        prfs = PhasePrfs(PrfsParams(lam, d, n))
-        qpk = prfs.oracle_isometry(key, sim.uniform_superposition(d))
-        qpk_p = _tensor_power(qpk.amplitudes, copies)
+    rows = len(keys) * sum(1 if m == "0" else 1 << n for m in (m0, m1))
+    _check_gram_budget((1 << d) * rows * rows + len(keys) * (1 << (d + n)))
+    prfs = PhasePrfs(PrfsParams(lam, d, n))
+    key_states = np.array([prfs.oracle_isometry(key, sim.uniform_superposition(d)).amplitudes
+                           for key in keys])
+    weight = 1.0 / (len(keys) << d)
+
+    def terms(message):
         for xv in range(1 << d):
-            head = np.kron(qpk_p, _basis_vector(d, xv))
-            if message == "0":
-                yield weight, np.kron(head, prfs.gen(key, int_to_bits(xv, d)).amplitudes)
-            else:
-                for yv in range(1 << n):
-                    yield weight / (1 << n), np.kron(head, _basis_vector(n, yv))
+            for k, key in enumerate(keys):
+                if message == "0":
+                    yield xv, weight, k, prfs.gen(key, int_to_bits(xv, d)).amplitudes
+                else:
+                    for y in np.eye(1 << n):
+                        yield xv, weight / (1 << n), k, y
+
+    return _gram_distance(key_states, copies, terms(m0), terms(m1))
+
+
+def _owf_keyed_distance(lam, copies, m0, m1, n, nonce_width) -> float:
+    """Keyed `owf` ensembles: |qpk_k>^p (x) |x*, r, body> over key, x* and nonce,
+    with the classical (x*, r, body) as block label and 1 as every payload."""
+    r_width = nonce_width if nonce_width is not None else n
+    keys = [int_to_bits(v, lam) for v in range(1 << lam)]
+    # each (x*, r) splits its 2 * 2^lam rows among its bodies' blocks
+    _check_gram_budget((1 << (lam + r_width)) * (2 << lam) ** 2 + len(keys) * (1 << (lam + n)))
+    scheme = OwfScheme(lam, prf_output_width=n)
+    key_states = np.array([scheme.qpk_gen(DecryptionKey(key)).states[0].amplitudes
+                           for key in keys])
+    weight = 1.0 / (len(keys) << (lam + r_width))
+
+    def terms(message):
+        for k, key in enumerate(keys):
+            for xv in range(1 << lam):
+                y = prf_eval(key, int_to_bits(xv, lam), n)
+                for rv in range(1 << r_width):
+                    body = xor_bits(_keystream(y, int_to_bits(rv, r_width), len(m0)), message)
+                    yield (xv, rv, body), weight, k, np.ones(1)
+
+    return _gram_distance(key_states, copies, terms(m0), terms(m1))
 
 
 def _prfs_random_distance(lam, output_qubits, copies) -> float:
@@ -315,80 +356,37 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
     The value upper-bounds any adversary's game advantage (win probability
     at most (1 + value) / 2) for an adversary holding `copies` public-key
     copies plus the challenge ciphertext. Keyed modes enumerate every key and
-    solve a rank-sized eigenproblem (`_mixture_distance`); the random mode of
-    `prfs` uses rho1 = w*I and solves rho0 one x* block at a time.
+    work from Gram matrices (`_gram_distance`): the copies are an elementwise
+    exponent on the key-state overlaps C, one block is solved per classical
+    label (x* for `prfs`, (x*, r, body) for `owf`), and each block's
+    eigenvalues below 1e-12 times its largest are dropped. Their cost does
+    not depend on `copies`; key states and blocks must fit the entries of a
+    q_max-qubit state. The random mode of `prfs` uses rho1 = w*I and solves
+    rho0 one x* block at a time.
     """
+    if copies < 0:
+        raise ValueError("copy count must be nonnegative")
     m0, m1 = messages
     if m0 == m1:
-        return EnsembleAdvantage(scheme, lam, copies, 0.0, True, mode)
-    if scheme == "prfs":
-        if mode == "prf":
-            if lam > 3:
-                raise sim.CapacityError("exact key enumeration is limited to lam <= 3")
-            if (copies + 1) * (lam + output_qubits) > _DENSITY_QUBIT_CAP:
-                raise sim.CapacityError("density-matrix path exceeds capacity")
-            value = _mixture_distance(_prfs_terms(lam, copies, output_qubits, m0),
-                                      _prfs_terms(lam, copies, output_qubits, m1))
-            return EnsembleAdvantage(scheme, lam, copies, value, True, mode)
-        if mode == "random":
-            value = _prfs_random_distance(lam, output_qubits, copies)
-            return EnsembleAdvantage(scheme, lam, copies, value, True, mode)
+        value = 0.0
+    elif (scheme, mode) == ("prfs", "prf"):
+        value = _prfs_keyed_distance(lam, copies, output_qubits, m0, m1)
+    elif (scheme, mode) == ("prfs", "random"):
+        value = _prfs_random_distance(lam, output_qubits, copies)
+    elif (scheme, mode) == ("owf", "prf"):
+        value = _owf_keyed_distance(lam, copies, m0, m1, output_qubits, nonce_width)
+    elif (scheme, mode) == ("owf", "random"):
+        if copies != 0:
+            raise ValueError("random-function mode for this scheme supports 0 copies")
+        # one-time-pad body under a fresh uniform key: enumerate the
+        # classical visible data (x*, body) for both messages
+        width = len(m0)
+        value = total_variation(*(
+            _uniform_over((xv, xor_bits(int_to_bits(zv, width), m))
+                          for xv in range(1 << lam) for zv in range(1 << width))
+            for m in (m0, m1)))
+    elif scheme in ("prfs", "owf"):
         raise ValueError(f"unknown mode {mode!r}")
-    if scheme == "owf":
-        if mode == "random":
-            if copies != 0:
-                raise ValueError("random-function mode for this scheme supports 0 copies")
-            # one-time-pad body under a fresh uniform key: enumerate the
-            # classical visible data (x*, body) for both messages
-            width = len(m0)
-            dists = []
-            for m in (m0, m1):
-                dist: dict = {}
-                count = 0
-                for xv in range(1 << lam):
-                    for zv in range(1 << width):
-                        z = int_to_bits(zv, width)
-                        visible = (xv, xor_bits(z, m))
-                        dist[visible] = dist.get(visible, 0.0) + 1.0
-                        count += 1
-                dists.append({k: v / count for k, v in dist.items()})
-            return EnsembleAdvantage(scheme, lam, copies,
-                                     total_variation(*dists), True, mode)
-        if mode == "prf":
-            return _owf_prf_advantage(lam, copies, m0, m1, output_qubits, nonce_width)
-        raise ValueError(f"unknown mode {mode!r}")
-    raise ValueError(f"no exact-advantage oracle for scheme {scheme!r}")
-
-
-def _owf_prf_advantage(lam, copies, m0, m1, prf_output_width, nonce_width):
-    """Keyed-mode ensemble bound for the PRF scheme with the stream cipher.
-
-    Each ensemble is a mixture over key, x* and nonce of
-    |qpk>^p (x) |x*, r, body>; `_mixture_distance` takes their trace distance.
-    """
-    n = prf_output_width
-    r_width = nonce_width if nonce_width is not None else n
-    width = len(m0)
-    total = copies * (lam + n) + lam + r_width + width
-    if total > _DENSITY_QUBIT_CAP:
-        raise sim.CapacityError("density-matrix path exceeds capacity")
-
-    scheme = OwfScheme(lam, prf_output_width=n)
-
-    def terms(message):
-        keys = [int_to_bits(v, lam) for v in range(1 << lam)]
-        weight = 1.0 / (len(keys) * (1 << lam) * (1 << r_width))
-        for key in keys:
-            qpk = scheme.qpk_gen(DecryptionKey(key)).states[0]
-            qpk_p = _tensor_power(qpk.amplitudes, copies)
-            for xv in range(1 << lam):
-                x = int_to_bits(xv, lam)
-                y = prf_eval(key, x, n)
-                for rv in range(1 << r_width):
-                    r = int_to_bits(rv, r_width)
-                    body = xor_bits(_keystream(y, r, width), message)
-                    tail = (xv << (r_width + width)) | (rv << width) | int(body, 2)
-                    yield weight, np.kron(qpk_p, _basis_vector(lam + r_width + width, tail))
-
-    value = _mixture_distance(terms(m0), terms(m1))
-    return EnsembleAdvantage("owf", lam, copies, value, True, "prf")
+    else:
+        raise ValueError(f"no exact-advantage oracle for scheme {scheme!r}")
+    return EnsembleAdvantage(scheme, lam, copies, value, True, mode)

@@ -255,8 +255,8 @@ def cmd_analyze(args, rng):
                 rows.append(["random-key", f"queries={queries}", f"{report.value:.3e}", report.pair])
                 failed |= report.value > 1e-12
         elif check == "helstrom":
-            # `all` clamps to the largest exactly-enumerable size; an explicit
-            # request for a larger one is a configuration error
+            # `all` clamps to lambda <= 3 so its report keeps its bytes; an
+            # explicit size past the Gram budget is a configuration error
             lam = min(args.lam, 3) if args.check == "all" else args.lam
             try:
                 adv = analysis.optimal_advantage("prfs", lam, 1, ("0", "1"),

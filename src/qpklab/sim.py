@@ -34,7 +34,10 @@ DEFAULT_Q_MAX = 20
 def q_max() -> int:
     """Qubit capacity; override with the QPKLAB_QMAX environment variable."""
     raw = os.environ.get("QPKLAB_QMAX")
-    return int(raw) if raw else DEFAULT_Q_MAX
+    try:
+        return int(raw) if raw else DEFAULT_Q_MAX
+    except ValueError:
+        raise ValueError(f"QPKLAB_QMAX must be an integer, got {raw!r}") from None
 
 
 class CapacityError(ValueError):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from qpklab import analysis, sim
 from qpklab.bits import int_to_bits, xor_bits
 from qpklab.primitives import PhasePrfs, PrfsParams, _keystream, prf_eval
+from qpklab.schemes import DecryptionKey, OwfScheme
 from qpklab.sim import WireRange
 
 
@@ -97,6 +100,93 @@ def _dense_prfs_random_rho_pair(lam, output_qubits):
                                     rho0[index(xk, yk, xs, y3),
                                          index(xb, yb, xs, y4)] = w
     return rho0, rho1
+
+
+def _qr_mixture_distance(terms0, terms1):
+    """Half the trace norm of rho0 - rho1 from a reduced QR of the stacked terms.
+
+    Each rho = sum_i w_i |v_i><v_i| is given as (weight, vector) pairs. With
+    V = QR, rho0 - rho1 = V S V^dagger has the nonzero spectrum of R S R^dagger.
+    """
+    weights, vectors = [], []
+    for sign, terms in ((1.0, terms0), (-1.0, terms1)):
+        for weight, vec in terms:
+            weights.append(sign * weight)
+            vectors.append(vec)
+    r = np.linalg.qr(np.column_stack(vectors), mode="r")
+    eigs = np.linalg.eigvalsh((r * np.array(weights)) @ r.conj().T)
+    return float(0.5 * np.abs(eigs).sum())
+
+
+def _basis_vector(width, value):
+    vec = np.zeros(1 << width, dtype=np.complex128)
+    vec[value] = 1.0
+    return vec
+
+
+def _tensor_power(vec, copies):
+    return reduce(np.kron, [vec] * copies, np.ones(1, dtype=np.complex128))
+
+
+def _qr_prfs_terms(lam, copies, output_qubits, message):
+    d, n = lam, output_qubits
+    keys = [int_to_bits(v, lam) for v in range(1 << lam)]
+    weight = 1.0 / (len(keys) * (1 << d))
+    for key in keys:
+        prfs = PhasePrfs(PrfsParams(lam, d, n))
+        qpk = prfs.oracle_isometry(key, sim.uniform_superposition(d))
+        qpk_p = _tensor_power(qpk.amplitudes, copies)
+        for xv in range(1 << d):
+            head = np.kron(qpk_p, _basis_vector(d, xv))
+            if message == "0":
+                yield weight, np.kron(head, prfs.gen(key, int_to_bits(xv, d)).amplitudes)
+            else:
+                for yv in range(1 << n):
+                    yield weight / (1 << n), np.kron(head, _basis_vector(n, yv))
+
+
+def _qr_owf_terms(lam, copies, message, n, r_width):
+    width = len(message)
+    scheme = OwfScheme(lam, prf_output_width=n)
+    keys = [int_to_bits(v, lam) for v in range(1 << lam)]
+    weight = 1.0 / (len(keys) * (1 << lam) * (1 << r_width))
+    for key in keys:
+        qpk = scheme.qpk_gen(DecryptionKey(key)).states[0]
+        qpk_p = _tensor_power(qpk.amplitudes, copies)
+        for xv in range(1 << lam):
+            y = prf_eval(key, int_to_bits(xv, lam), n)
+            for rv in range(1 << r_width):
+                r = int_to_bits(rv, r_width)
+                body = xor_bits(_keystream(y, r, width), message)
+                tail = (xv << (r_width + width)) | (rv << width) | int(body, 2)
+                yield weight, np.kron(qpk_p, _basis_vector(lam + r_width + width, tail))
+
+
+def _enumerated_random_key_distributions(lam, queries, out_width=1, message="10"):
+    """The real-key and fresh-key visible distributions, one keystream call per tuple."""
+    xs_all = [int_to_bits(v, lam) for v in range(1 << lam)]
+    vals = [int_to_bits(v, out_width) for v in range(1 << out_width)]
+
+    def visible_distribution(key_from_table):
+        dist = {}
+        count = 0
+        for x_star in xs_all:
+            others = [x for x in xs_all if x != x_star]
+            for rest in itertools.product(vals, repeat=len(others)):
+                for h_star in vals:
+                    for z in vals:
+                        key = h_star if key_from_table else z
+                        for nonces in itertools.product(vals, repeat=queries):
+                            bodies = tuple(
+                                (r, xor_bits(_keystream(key, r, len(message)), message))
+                                for r in nonces
+                            )
+                            visible = (x_star, rest, bodies)
+                            dist[visible] = dist.get(visible, 0.0) + 1.0
+                            count += 1
+        return {k: v / count for k, v in dist.items()}
+
+    return visible_distribution(True), visible_distribution(False)
 
 
 def _projected_joint_distribution(state, labelled_ranges):
@@ -193,6 +283,23 @@ def test_random_key_check_zero(queries):
     assert report.value < 1e-12
 
 
+@pytest.mark.parametrize(
+    "lam,queries",
+    [(lam, queries) for lam in (1, 2) for queries in range(4)] + [(3, 1)],
+)
+def test_random_key_check_matches_enumeration(lam, queries, monkeypatch):
+    # the distance is 0 whatever the bodies are, so the two distributions
+    # themselves are compared too
+    total_variation = analysis.total_variation
+    seen = []
+    monkeypatch.setattr(analysis, "total_variation",
+                        lambda a, b: seen.append((a, b)) or total_variation(a, b))
+    report = analysis.random_key_indistinguishability_check(lam, queries=queries)
+    expected = _enumerated_random_key_distributions(lam, queries)
+    assert seen == [expected]
+    assert report.value == total_variation(*expected)
+
+
 def test_random_key_capacity():
     with pytest.raises(sim.CapacityError):
         analysis.random_key_indistinguishability_check(4)
@@ -277,12 +384,20 @@ def test_advantage_errors():
     with pytest.raises(sim.CapacityError):
         analysis.optimal_advantage("prfs", 10, 1, ("0", "1"))
     with pytest.raises(sim.CapacityError):
-        analysis.optimal_advantage("prfs", 3, 3, ("0", "1"))
+        analysis.optimal_advantage("prfs", 6, 1, ("0", "1"))
+
+
+def test_advantage_rejects_negative_copies():
+    # a negative exponent on the key overlaps would divide by them
+    for scheme, messages in (("prfs", ("0", "1")), ("owf", ("00", "11"))):
+        with pytest.raises(ValueError):
+            analysis.optimal_advantage(scheme, 2, -1, messages)
 
 
 def test_helstrom_bound_on_density_pair():
     zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    value = analysis._mixture_distance([(1.0, zero)], [(0.5, zero), (0.5, one)])
+    vectors = np.array([zero, zero, one])
+    value = analysis._block_distance(vectors @ vectors.T, np.array([1.0, -0.5, -0.5]))
     assert abs(value - 0.5) < 1e-12
 
 
@@ -310,6 +425,67 @@ def test_random_mode_matches_dense(d, n):
     adv = analysis.optimal_advantage("prfs", d, 1, ("0", "1"), output_qubits=n, mode="random")
     dense = _dense_distance(*_dense_prfs_random_rho_pair(d, n))
     assert abs(adv.value - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("lam,n", [(lam, n) for lam in (1, 2, 3) for n in (1, 2)])
+def test_prfs_gram_matches_qr_without_copies(lam, n):
+    # every block is rank-deficient here: G has rank at most 2^n
+    adv = analysis.optimal_advantage("prfs", lam, 0, ("0", "1"), output_qubits=n)
+    qr = _qr_mixture_distance(_qr_prfs_terms(lam, 0, n, "0"), _qr_prfs_terms(lam, 0, n, "1"))
+    assert abs(adv.value - qr) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "lam,n,copies",
+    [(lam, n, copies) for copies in (2, 3) for lam in (1, 2, 3) for n in (1, 2, 3)
+     if (copies + 1) * (lam + n) <= 12],
+)
+def test_prfs_gram_matches_qr_with_copies(lam, n, copies):
+    adv = analysis.optimal_advantage("prfs", lam, copies, ("0", "1"), output_qubits=n)
+    qr = _qr_mixture_distance(_qr_prfs_terms(lam, copies, n, "0"),
+                              _qr_prfs_terms(lam, copies, n, "1"))
+    assert abs(adv.value - qr) <= 1e-12
+
+
+@pytest.mark.parametrize("lam,n,copies", [(2, 2, 0), (2, 2, 1), (1, 1, 0), (1, 1, 1),
+                                          (1, 1, 2), (1, 1, 3)])
+def test_owf_gram_matches_qr(lam, n, copies):
+    messages = ("00", "11")
+    adv = analysis.optimal_advantage("owf", lam, copies, messages, output_qubits=n)
+    qr = _qr_mixture_distance(*(_qr_owf_terms(lam, copies, m, n, n) for m in messages))
+    assert abs(adv.value - qr) <= 1e-12
+
+
+@pytest.mark.parametrize("copies,expected", [(2, 0.748389982086), (3, 0.749849067531)])
+def test_prfs_keyed_many_copies(copies, expected):
+    adv = analysis.optimal_advantage("prfs", 3, copies, ("0", "1"), output_qubits=2)
+    assert abs(adv.value - expected) <= 1e-12
+
+
+def test_prfs_keyed_curve_over_copies():
+    # with enough copies the toy key is determined: the value climbs to the
+    # message-0 vs message-1 distance 1 - 2^-n and stays below it
+    n = 2
+    limit = 1 - 2.0**-n
+    values = [analysis.optimal_advantage("prfs", 3, p, ("0", "1"), output_qubits=n).value
+              for p in range(17)]
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    assert max(values) <= limit + 1e-12
+    assert abs(values[16] - limit) <= 1e-9
+
+
+def test_gram_budget_checked_before_any_key_is_built(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("key state built before the budget check")
+
+    monkeypatch.setattr(PhasePrfs, "oracle_isometry", fail)
+    monkeypatch.setattr(OwfScheme, "qpk_gen", fail)
+    for scheme, messages in (("prfs", ("0", "1")), ("owf", ("00", "11"))):
+        with pytest.raises(sim.CapacityError):
+            analysis.optimal_advantage(scheme, 6, 1, messages)
+    monkeypatch.setenv("QPKLAB_QMAX", "8")
+    with pytest.raises(sim.CapacityError):
+        analysis.optimal_advantage("prfs", 2, 1, ("0", "1"))
 
 
 def test_hybrid_report_validation():

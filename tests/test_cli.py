@@ -64,6 +64,14 @@ def test_helstrom_capacity_error(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_bad_qubit_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("QPKLAB_QMAX", "abc")
+    code, _out, err = run_cli(capsys, "analyze", "--check", "helstrom",
+                              "--lambda", "2", "--seed", "1")
+    assert code == EXIT_CONFIG
+    assert "QPKLAB_QMAX" in err and "'abc'" in err
+
+
 def test_too_few_trials_for_estimator(capsys):
     code, _out, err = run_cli(capsys, "game", "--trials", "10", "--seed", "1",
                               "--scheme", "prfs", "--game", "cpa")
