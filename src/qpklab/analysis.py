@@ -181,20 +181,20 @@ def commuting_measurement_check(lam: int, copies: int = 2,
 # --- real key vs fresh random key -----------------------------------------
 
 
-def random_key_indistinguishability_check(lam: int, queries: int = 3,
-                                          out_width: int = 1,
-                                          message: str = "10") -> HybridReport:
+def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridReport:
     """Exact H(x*)-as-key vs fresh-z-as-key distribution comparison.
 
-    The function is a uniformly random table. The adversary sees the punctured
-    key (determined by the table off x*), x*, and the bodies of the oracle
-    answers. Enumerates every table, key value, and nonce draw; returns the
-    total-variation distance between the two visible-data distributions.
+    The function is a uniformly random one-bit table. The adversary sees the
+    punctured key (determined by the table off x*), x*, and the bodies of the
+    oracle answers to the message "10". Enumerates every table, key value, and
+    nonce draw; returns the total-variation distance between the two
+    visible-data distributions.
     """
     if lam > 3:
         raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
+    message = "10"
     xs_all = [int_to_bits(v, lam) for v in range(1 << lam)]
-    vals = [int_to_bits(v, out_width) for v in range(1 << out_width)]
+    vals = ["0", "1"]
 
     # the bodies depend only on (key, nonce): tabulate them once
     bodies_of = {(key, r): xor_bits(_keystream(key, r, len(message)), message)
@@ -212,7 +212,7 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3,
 
     tv = total_variation(_uniform_over(visible(True)), _uniform_over(visible(False)))
     return HybridReport("H3-H4", "total-variation", tv,
-                        {"lam": lam, "queries": queries, "out_width": out_width})
+                        {"lam": lam, "queries": queries})
 
 
 # --- Helstrom bound on the distinguishing advantage -----------------------
@@ -288,24 +288,24 @@ def _prfs_keyed_distance(lam, copies, output_qubits, m0, m1) -> float:
     return _gram_distance(key_states, copies, terms(m0), terms(m1))
 
 
-def _owf_keyed_distance(lam, copies, m0, m1, n, nonce_width) -> float:
-    """Keyed `owf` ensembles: |qpk_k>^p (x) |x*, r, body> over key, x* and nonce,
-    with the classical (x*, r, body) as block label and 1 as every payload."""
-    r_width = nonce_width if nonce_width is not None else n
+def _owf_keyed_distance(lam, copies, m0, m1, n) -> float:
+    """Keyed `owf` ensembles: |qpk_k>^p (x) |x*, r, body> over key, x* and the
+    n-bit nonce, with the classical (x*, r, body) as block label and 1 as every
+    payload."""
     keys = [int_to_bits(v, lam) for v in range(1 << lam)]
     # each (x*, r) splits its 2 * 2^lam rows among its bodies' blocks
-    _check_gram_budget((1 << (lam + r_width)) * (2 << lam) ** 2 + len(keys) * (1 << (lam + n)))
+    _check_gram_budget((1 << (lam + n)) * (2 << lam) ** 2 + len(keys) * (1 << (lam + n)))
     scheme = OwfScheme(lam, prf_output_width=n)
     key_states = np.array([scheme.qpk_gen(DecryptionKey(key)).states[0].amplitudes
                            for key in keys])
-    weight = 1.0 / (len(keys) << (lam + r_width))
+    weight = 1.0 / (len(keys) << (lam + n))
 
     def terms(message):
         for k, key in enumerate(keys):
             for xv in range(1 << lam):
                 y = prf_eval(key, int_to_bits(xv, lam), n)
-                for rv in range(1 << r_width):
-                    body = xor_bits(_keystream(y, int_to_bits(rv, r_width), len(m0)), message)
+                for rv in range(1 << n):
+                    body = xor_bits(_keystream(y, int_to_bits(rv, n), len(m0)), message)
                     yield (xv, rv, body), weight, k, np.ones(1)
 
     return _gram_distance(key_states, copies, terms(m0), terms(m1))
@@ -349,8 +349,7 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
 
 
 def optimal_advantage(scheme: str, lam: int, copies: int, messages,
-                      output_qubits: int = 2, mode: str = "prf",
-                      nonce_width: int | None = None) -> EnsembleAdvantage:
+                      output_qubits: int = 2, mode: str = "prf") -> EnsembleAdvantage:
     """Helstrom bound: trace distance between the two challenge ensembles.
 
     The value upper-bounds any adversary's game advantage (win probability
@@ -374,7 +373,7 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
     elif (scheme, mode) == ("prfs", "random"):
         value = _prfs_random_distance(lam, output_qubits, copies)
     elif (scheme, mode) == ("owf", "prf"):
-        value = _owf_keyed_distance(lam, copies, m0, m1, output_qubits, nonce_width)
+        value = _owf_keyed_distance(lam, copies, m0, m1, output_qubits)
     elif (scheme, mode) == ("owf", "random"):
         if copies != 0:
             raise ValueError("random-function mode for this scheme supports 0 copies")

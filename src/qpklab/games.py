@@ -94,34 +94,6 @@ def _challenge_pair(scheme, adversary):
     return m0, m1
 
 
-def run_ind_cpa(scheme: QpkeScheme, adversary, rng: np.random.Generator) -> GameTranscript:
-    """Single-challenge indistinguishability game without an encryption oracle.
-
-    The adversary gets fresh public-key copies (oracle access to key
-    generation), picks two same-length messages, and must guess which one was
-    encrypted under a fresh key copy.
-    """
-    transcript = GameTranscript("cpa", scheme.security_param)
-    dk = scheme.gen(rng)
-    transcript.dk_bits = dk.bits
-    adversary.begin(scheme, rng)
-    b = int(rng.integers(2))
-    transcript.challenge_bit = b
-    try:
-        _give_key_copies(scheme, dk, adversary, transcript)
-        m0, m1 = _challenge_pair(scheme, adversary)
-        transcript.challenge = (m0, m1)
-        transcript.add_event("challenge", "adversary", f"{m0},{m1}")
-        qpk = scheme.qpk_gen(dk)
-        _qpk, ct = scheme.encrypt(qpk, (m0, m1)[b], rng)
-        adversary.receive_challenge(ct)
-        transcript.add_event("challenge", "challenger", "ct*")
-    except (ProtocolViolation, SchemeError, KeyError, IndexError):
-        transcript.valid = False
-        return transcript
-    return _finish(transcript, adversary, b)
-
-
 def _query_phase(scheme, adversary, qpk, rng, transcript, budget_state):
     """Drain one encryption-query phase; the adversary stops with None."""
     while True:
@@ -138,6 +110,49 @@ def _query_phase(scheme, adversary, qpk, rng, transcript, budget_state):
         adversary.receive_ciphertext(ct)
 
 
+def _run_challenger(scheme, adversary, rng, game, chains, challenges, queries):
+    """The one challenger loop: `chains` fresh key chains under one decryption
+    key, `challenges` challenge rounds per chain, one challenge bit for the
+    whole run. With `queries`, an encryption-query phase runs before and after
+    every challenge on the evolving chain."""
+    transcript = GameTranscript(game, scheme.security_param)
+    dk = scheme.gen(rng)
+    transcript.dk_bits = dk.bits
+    adversary.begin(scheme, rng)
+    b = int(rng.integers(2))
+    transcript.challenge_bit = b
+    budget_state = [0]
+    try:
+        _give_key_copies(scheme, dk, adversary, transcript)
+        for _chain in range(chains):
+            qpk = scheme.qpk_gen(dk)
+            for _challenge in range(challenges):
+                if queries:
+                    qpk = _query_phase(scheme, adversary, qpk, rng, transcript, budget_state)
+                m0, m1 = _challenge_pair(scheme, adversary)
+                transcript.challenge = (m0, m1)
+                transcript.add_event("challenge", "adversary", f"{m0},{m1}")
+                qpk, ct = scheme.encrypt(qpk, (m0, m1)[b], rng)
+                adversary.receive_challenge(ct)
+                transcript.add_event("challenge", "challenger", "ct*")
+                if queries:
+                    qpk = _query_phase(scheme, adversary, qpk, rng, transcript, budget_state)
+    except (ProtocolViolation, SchemeError, KeyError, IndexError):
+        transcript.valid = False
+        return transcript
+    return _finish(transcript, adversary, b)
+
+
+def run_ind_cpa(scheme: QpkeScheme, adversary, rng: np.random.Generator) -> GameTranscript:
+    """Single-challenge indistinguishability game without an encryption oracle.
+
+    The adversary gets fresh public-key copies (oracle access to key
+    generation), picks two same-length messages, and must guess which one was
+    encrypted under a fresh key copy.
+    """
+    return _run_challenger(scheme, adversary, rng, "cpa", 1, 1, queries=False)
+
+
 def run_ind_cpa_eo(scheme, adversary, rng, multi=False, inner_rounds=2, outer_rounds=2):
     """Indistinguishability game with an encryption oracle on the evolving key chain.
 
@@ -149,30 +164,9 @@ def run_ind_cpa_eo(scheme, adversary, rng, multi=False, inner_rounds=2, outer_ro
     """
     if not scheme.supports_encryption_oracle:
         raise CapabilityError(f"scheme {scheme.name!r} does not support the encryption oracle game")
-    transcript = GameTranscript("cpa-eo-multi" if multi else "cpa-eo", scheme.security_param)
-    dk = scheme.gen(rng)
-    transcript.dk_bits = dk.bits
-    adversary.begin(scheme, rng)
-    b = int(rng.integers(2))
-    transcript.challenge_bit = b
-    budget_state = [0]
-    try:
-        _give_key_copies(scheme, dk, adversary, transcript)
-        for _outer in range(outer_rounds if multi else 1):
-            qpk = scheme.qpk_gen(dk)
-            for _inner in range(inner_rounds if multi else 1):
-                qpk = _query_phase(scheme, adversary, qpk, rng, transcript, budget_state)
-                m0, m1 = _challenge_pair(scheme, adversary)
-                transcript.challenge = (m0, m1)
-                transcript.add_event("challenge", "adversary", f"{m0},{m1}")
-                qpk, ct = scheme.encrypt(qpk, (m0, m1)[b], rng)
-                adversary.receive_challenge(ct)
-                transcript.add_event("challenge", "challenger", "ct*")
-                qpk = _query_phase(scheme, adversary, qpk, rng, transcript, budget_state)
-    except (ProtocolViolation, SchemeError, KeyError, IndexError):
-        transcript.valid = False
-        return transcript
-    return _finish(transcript, adversary, b)
+    game = "cpa-eo-multi" if multi else "cpa-eo"
+    rounds = (outer_rounds, inner_rounds) if multi else (1, 1)
+    return _run_challenger(scheme, adversary, rng, game, *rounds, queries=True)
 
 
 def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
@@ -216,11 +210,10 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
     return transcript
 
 
-def estimate_advantage(runner, trials: int, rng: np.random.Generator,
-                       confidence: float = 0.95) -> AdvantageEstimate:
+def estimate_advantage(runner, trials: int, rng: np.random.Generator) -> AdvantageEstimate:
     """Run `runner(child_rng) -> GameTranscript` over independent seeded trials.
 
-    Reports the win fraction with a Wilson binomial confidence interval.
+    Reports the win fraction with a 95% Wilson binomial confidence interval.
     Trials use rng streams split from the master generator, merged by trial
     index, so results are reproducible bit-exactly under a fixed seed.
     """
@@ -233,5 +226,5 @@ def estimate_advantage(runner, trials: int, rng: np.random.Generator,
         transcript = runner(child)
         wins += int(transcript.win)
     estimate = wins / trials
-    ci = binomtest(wins, trials).proportion_ci(confidence_level=confidence, method="wilson")
-    return AdvantageEstimate(trials, wins, estimate, confidence, (ci.low, ci.high))
+    ci = binomtest(wins, trials).proportion_ci(confidence_level=0.95, method="wilson")
+    return AdvantageEstimate(trials, wins, estimate, 0.95, (ci.low, ci.high))

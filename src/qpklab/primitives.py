@@ -75,14 +75,10 @@ class SkeCiphertext:
 
 
 class StreamSke:
-    """Symmetric encryption: ct = (r, pad_key(r) XOR m) with a fresh uniform nonce."""
-
-    def __init__(self, nonce_width: int | None = None):
-        self.nonce_width = nonce_width
+    """Symmetric encryption: ct = (r, pad_key(r) XOR m) with a fresh uniform len(key)-bit nonce."""
 
     def _nonce(self, key: str, rng: np.random.Generator) -> str:
-        width = self.nonce_width if self.nonce_width is not None else len(key)
-        return random_bits(width, rng)
+        return random_bits(len(key), rng)
 
     def encrypt(self, key: str, message: str, rng: np.random.Generator) -> SkeCiphertext:
         check_bits(key)
@@ -103,8 +99,7 @@ class FixedNonceSke(StreamSke):
     """Broken variant for mutation testing: the nonce is always all-zero."""
 
     def _nonce(self, key, rng):
-        width = self.nonce_width if self.nonce_width is not None else len(key)
-        return "0" * width
+        return "0" * len(key)
 
 
 @dataclass(frozen=True)
@@ -120,20 +115,20 @@ class PrfsParams:
             raise ValueError("output size must be at least one qubit")
 
 
-class PhasePrfs:
-    """Binary phase-state family: |psi_{k,x}> = 2^{-n/2} sum_y (-1)^{f_k(x||y)} |y>.
+class _StateFamily:
+    """Keyed family of pure states |psi_{k,x}> on `params.output_qubits` qubits.
 
-    The tester is the exact projective measurement onto the generated state,
-    possible because the simulator holds full statevectors, so its one-sided
-    error is zero here.
+    Subclasses supply only the amplitudes of one state. `gen` checks the
+    widths and caches every state it builds, emptying the cache once it holds
+    more than 8192.
     """
 
-    def __init__(self, params: PrfsParams):
+    def __init__(self, params):
         self.params = params
         self._cache: dict[tuple[str, str], PureState] = {}
 
-    def _phase_bit(self, key: str, x: str, y: str) -> int:
-        return int(prf_eval(key, x + y, 1))
+    def _amplitudes(self, key: str, x: str) -> np.ndarray:
+        raise NotImplementedError
 
     def gen(self, key: str, x: str) -> PureState:
         check_bits(key, self.params.key_width)
@@ -143,14 +138,7 @@ class PhasePrfs:
             return cached
         if len(self._cache) > 8192:
             self._cache.clear()
-        n = self.params.output_qubits
-        dim = 1 << n
-        amps = np.empty(dim, dtype=np.complex128)
-        scale = dim ** -0.5
-        for v in range(dim):
-            sign = -1.0 if self._phase_bit(key, x, int_to_bits(v, n)) else 1.0
-            amps[v] = sign * scale
-        state = PureState(n, amps)
+        state = PureState(self.params.output_qubits, self._amplitudes(key, x))
         self._cache[(key, x)] = state
         return state
 
@@ -163,6 +151,28 @@ class PhasePrfs:
         if d + n > sim.q_max():
             raise sim.CapacityError("isometry output exceeds qubit capacity")
         return sim.controlled_state(state, n, lambda x: self.gen(key, x).amplitudes)
+
+
+class PhasePrfs(_StateFamily):
+    """Binary phase-state family: |psi_{k,x}> = 2^{-n/2} sum_y (-1)^{f_k(x||y)} |y>.
+
+    The tester is the exact projective measurement onto the generated state,
+    possible because the simulator holds full statevectors, so its one-sided
+    error is zero here.
+    """
+
+    def _phase_bit(self, key: str, x: str, y: str) -> int:
+        return int(prf_eval(key, x + y, 1))
+
+    def _amplitudes(self, key, x):
+        n = self.params.output_qubits
+        dim = 1 << n
+        amps = np.empty(dim, dtype=np.complex128)
+        scale = dim ** -0.5
+        for v in range(dim):
+            sign = -1.0 if self._phase_bit(key, x, int_to_bits(v, n)) else 1.0
+            amps[v] = sign * scale
+        return amps
 
     def test_exact(self, key: str, x: str, candidate) -> float:
         """Acceptance probability of the tester: fidelity with the generated state."""
@@ -222,7 +232,7 @@ class PrfspdProof:
     bits: str
 
 
-class ToyPrfspd:
+class ToyPrfspd(_StateFamily):
     """Function-like states with proofs of destruction, toy instantiation.
 
     Gen(k, x) = 2^{-m/2} sum_y |y>|f_k(x||y)>; Del measures everything in the
@@ -232,30 +242,20 @@ class ToyPrfspd:
     """
 
     def __init__(self, params: PrfspdParams, prf=prf_eval):
-        self.params = params
+        super().__init__(params)
         self._prf = prf
-        self._cache: dict[tuple[str, str], PureState] = {}
 
     def _tag(self, key: str, x: str, y: str) -> str:
         return self._prf(key, x + y, self.params.tag_width)
 
-    def gen(self, key: str, x: str) -> PureState:
-        check_bits(key, self.params.key_width)
-        check_bits(x, self.params.input_width)
-        cached = self._cache.get((key, x))
-        if cached is not None:
-            return cached
-        if len(self._cache) > 8192:
-            self._cache.clear()
+    def _amplitudes(self, key, x):
         m, t = self.params.measured_width, self.params.tag_width
         amps = np.zeros(1 << (m + t), dtype=np.complex128)
         scale = (1 << m) ** -0.5
         for yv in range(1 << m):
             zv = bits_to_int(self._tag(key, x, int_to_bits(yv, m)))
             amps[(yv << t) | zv] = scale
-        state = PureState(m + t, amps)
-        self._cache[(key, x)] = state
-        return state
+        return amps
 
     def delete(self, state: PureState, rng: np.random.Generator) -> PrfspdProof:
         if state.qubit_count != self.params.output_qubits:

@@ -3,7 +3,9 @@
 Every scheme follows the four-algorithm shape: classical key generation, pure
 quantum public-key generation (repeated calls yield the identical state),
 encryption returning a recycled key alongside the ciphertext, and decryption
-from the classical key. Every public key is one `sim.controlled_state`.
+from the classical key. Every public key is one `sim.controlled_state`: the
+OWF key directly, the PRFSPD slots and the PRFS key through their state
+family's `oracle_isometry`.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
   the outcome, and symmetric-encrypts under the measured PRF value. Classical
@@ -135,6 +137,19 @@ class QpkeScheme:
     def check_message(self, message: str) -> str:
         return check_bits(message)
 
+    def _check_ciphertext(self, ct, kind):
+        """Reject a classical ciphertext of another scheme or security parameter."""
+        if not isinstance(ct, kind):
+            raise SchemeError("ciphertext does not belong to this scheme")
+        if ct.security_param != self.security_param:
+            raise SchemeError(f"ciphertext security parameter {ct.security_param} "
+                              f"does not match the scheme's {self.security_param}")
+
+
+def _check_width(field_name: str, bits: str, width: int):
+    if len(bits) != width:
+        raise SchemeError(f"ciphertext {field_name} has {len(bits)} bits, expected {width}")
+
 
 class OwfScheme(QpkeScheme):
     """PRF-based scheme with classical ciphertexts and perfect correctness."""
@@ -175,8 +190,8 @@ class OwfScheme(QpkeScheme):
         return qpk, self._ciphertext_for(y, x, message, rng)
 
     def decrypt(self, dk, ct, rng=None):
-        if not isinstance(ct, Scheme1Ciphertext):
-            raise SchemeError("ciphertext does not belong to this scheme")
+        self._check_ciphertext(ct, Scheme1Ciphertext)
+        _check_width("x", ct.x, self.security_param)
         y = self.prf(dk.bits, ct.x, self.prf_output_width)
         return self.ske.decrypt(y, ct.body)
 
@@ -200,10 +215,7 @@ class PrfspdScheme(QpkeScheme):
 
     def _public_states(self, dk: DecryptionKey) -> tuple:
         lam = self.security_param
-        slot = sim.controlled_state(sim.uniform_superposition(lam),
-                                    self.prfspd.params.output_qubits,
-                                    lambda x: self.prfspd.gen(dk.bits, x).amplitudes)
-        return (slot,) * lam
+        return (self.prfspd.oracle_isometry(dk.bits, sim.uniform_superposition(lam)),) * lam
 
     def _measure_slots(self, qpk: QuantumPublicKey, rng):
         residue = []
@@ -240,8 +252,13 @@ class PrfspdScheme(QpkeScheme):
         return per_slot ** self.security_param
 
     def decrypt(self, dk, ct, rng=None):
-        if not isinstance(ct, Scheme2Ciphertext):
-            raise SchemeError("ciphertext does not belong to this scheme")
+        self._check_ciphertext(ct, Scheme2Ciphertext)
+        lam = self.security_param
+        if len(ct.slots) != lam:
+            raise SchemeError(f"ciphertext has {len(ct.slots)} slots, expected {lam}")
+        for x, y_tilde in ct.slots:
+            _check_width("slot input", x, lam)
+            _check_width("slot proof", y_tilde, self.prfspd.params.proof_width)
         k = "".join(
             str(self.prfspd.verify(dk.bits, x, PrfspdProof(y_tilde)))
             for x, y_tilde in ct.slots
@@ -323,21 +340,30 @@ def _put_bits(parts: list, s: str):
 
 
 class _Reader:
+    """Reads the wire fields in order; short input is a `SchemeError`."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
+    def _take(self, nbytes: int) -> bytes:
+        if self.pos + nbytes > len(self.data):
+            raise SchemeError("ciphertext is truncated")
+        self.pos += nbytes
+        return self.data[self.pos - nbytes : self.pos]
+
     def u16(self) -> int:
-        (v,) = struct.unpack_from(">H", self.data, self.pos)
-        self.pos += 2
-        return v
+        return int.from_bytes(self._take(2), "big")
 
     def bits(self) -> str:
         width = self.u16()
-        nbytes = (width + 7) // 8
-        s = unpack_bits(self.data[self.pos : self.pos + nbytes], width)
-        self.pos += nbytes
-        return s
+        return unpack_bits(self._take((width + 7) // 8), width)
+
+    def finish(self, ct):
+        """`ct` if every byte was read; trailing bytes are a `SchemeError`."""
+        if self.pos != len(self.data):
+            raise SchemeError(f"{len(self.data) - self.pos} trailing bytes after the ciphertext")
+        return ct
 
 
 def serialize_ciphertext(ct) -> bytes:
@@ -372,12 +398,12 @@ def deserialize_ciphertext(data: bytes):
         x = reader.bits()
         nonce = reader.bits()
         body = reader.bits()
-        return Scheme1Ciphertext(lam, x, SkeCiphertext(nonce, body))
+        return reader.finish(Scheme1Ciphertext(lam, x, SkeCiphertext(nonce, body)))
     if tag == 2:
         lam = reader.u16()
         nonce = reader.bits()
         body = reader.bits()
         count = reader.u16()
         slots = tuple((reader.bits(), reader.bits()) for _ in range(count))
-        return Scheme2Ciphertext(lam, SkeCiphertext(nonce, body), slots)
+        return reader.finish(Scheme2Ciphertext(lam, SkeCiphertext(nonce, body), slots))
     raise SchemeError(f"unknown ciphertext tag {tag}")

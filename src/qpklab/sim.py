@@ -12,8 +12,9 @@ index. A register of width w at offset o holds the bits (index >> o) & (2^w-1).
 Every public key in the package is a controlled state sum_x a_x |x>|phi_x>:
 the control register x sits on the high wires and the block phi_x on the
 wires below it, so the block of x is the contiguous slice of amplitudes
-[x * 2^b, (x + 1) * 2^b) for a b-qubit block. `controlled_state` builds one
-and `measure_control` measures x and returns what is left of the block.
+[x * 2^b, (x + 1) * 2^b) for a b-qubit block. `controlled_state` builds one;
+`measure_control` samples x and renormalizes that slice alone, with no
+full-size post-measurement vector.
 """
 
 from __future__ import annotations
@@ -276,8 +277,11 @@ def measure_control(state: PureState, control_width: int, rng: np.random.Generat
     The block is the renormalized state left on the wires below the control.
     """
     wires = WireRange(state.qubit_count - control_width, control_width)
-    x, post = measure_computational(state, wires, rng)
-    return x, PureState(wires.offset, _register_block(post.amplitudes, wires, bits_to_int(x)))
+    x = sample_outcome(state, wires, rng)
+    block = _register_block(state.amplitudes, wires, bits_to_int(x))
+    prob = float(np.vdot(block, block).real)
+    assert prob > ATOL_EXACT**2, "sampled outcome has zero projection"
+    return x, PureState(wires.offset, block / np.sqrt(prob))
 
 
 def puncture(state: PureState, marked: str, wires: WireRange) -> PureState:

@@ -159,3 +159,26 @@ def test_measure_control_matches_measure_then_slice_over_seeds():
             assert block.qubit_count == state.qubit_count - control_width
             assert same_bits(block.amplitudes, block_ref)
             assert rng_a.random() == rng_b.random()
+
+
+def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeypatch):
+    slot = PrfspdScheme(8, ToyPrfspd(PrfspdParams(8, 8, 1, 6))).qpk_gen(DecryptionKey("10110010"))
+    prfs_key = PrfsScheme(6, PhasePrfs(PrfsParams(6, 6, 4))).qpk_gen(DecryptionKey("011010"))
+    cases = [(key.states[0], control_width, seed)
+             for key, control_width in ((slot, 8), (prfs_key, 6)) for seed in range(20)]
+    references = []
+    for state, control_width, seed in cases:
+        rng = np.random.default_rng(seed)
+        references.append((*reference_measure_block(state, control_width, rng), rng.random()))
+
+    def full_size(*args, **kwargs):
+        raise AssertionError("measure_control built a full-size post-measurement state")
+
+    monkeypatch.setattr(sim, "project", full_size)
+    monkeypatch.setattr(sim, "measure_computational", full_size)
+    for (state, control_width, seed), (x_ref, block_ref, next_ref) in zip(cases, references):
+        rng = np.random.default_rng(seed)
+        x, block = sim.measure_control(state, control_width, rng)
+        assert x == x_ref
+        assert same_bits(block.amplitudes, block_ref)
+        assert rng.random() == next_ref

@@ -21,6 +21,9 @@ COMMANDS = {
         "--trials 300 --seed 1",
     "game_owf_copy_measure.txt":
         "game --scheme owf --game cpa-eo --adversary copy-measure --lambda 4 --trials 200 --seed 3",
+    "game_owf_cpa_eo_multi_random_guess.txt":
+        "game --scheme owf --game cpa-eo-multi --adversary random-guess --lambda 4 --trials 200 "
+        "--seed 5",
     "analyze_all.txt": "analyze --check all --lambda 2 --seed 1",
 }
 

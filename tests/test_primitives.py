@@ -289,3 +289,24 @@ def test_prfspd_errors(rng):
         pd.delete(sim.uniform_superposition(3), rng)
     with pytest.raises(ValueError):
         pd.verify("101", "010", PrfspdProof("01"))
+
+
+# --- state-family cache -------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_family", [
+    lambda: PhasePrfs(PrfsParams(7, 7, 1)),
+    lambda: ToyPrfspd(PrfspdParams(7, 7, 1, 1)),
+], ids=["phase-prfs", "toy-prfspd"])
+def test_family_cache_reuses_states_and_stays_bounded(make_family):
+    family = make_family()
+    first = family.gen("0000000", "0000000")
+    assert family.gen("0000000", "0000000") is first
+    sizes = []
+    for v in range(8200):
+        key, x = int_to_bits(v >> 7, 7), int_to_bits(v & 127, 7)
+        state = family.gen(key, x)
+        assert family.gen(key, x) is state
+        sizes.append(len(family._cache))
+    assert max(sizes) == 8193
+    assert sizes[-1] < 8193  # emptied once it held more than 8192

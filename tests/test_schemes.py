@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,6 +281,34 @@ def test_ciphertext_type_checks(rng):
         pf.decrypt(dk, ct, rng)
 
 
+def test_owf_decrypt_rejects_malformed_ciphertexts(rng):
+    scheme = OwfScheme(3)
+    dk = scheme.gen(rng)
+    _, ct = scheme.encrypt(scheme.qpk_gen(dk), "0110", rng)
+    assert scheme.decrypt(dk, ct) == "0110"
+    for bad in (replace(ct, x="0"), replace(ct, x=ct.x + "1"), replace(ct, security_param=4)):
+        with pytest.raises(SchemeError):
+            scheme.decrypt(dk, bad)
+
+
+def test_prfspd_decrypt_rejects_malformed_ciphertexts(rng):
+    scheme = make_prfspd_scheme(3, 1, 3)
+    dk = scheme.gen(rng)
+    _, ct = scheme.encrypt(scheme.qpk_gen(dk), "0111", rng)
+    scheme.decrypt(dk, ct)  # well-formed: no error
+    (x0, y0), *rest = ct.slots
+    bad = [
+        replace(ct, slots=ct.slots[:1]),
+        replace(ct, slots=ct.slots + ct.slots[:1]),
+        replace(ct, slots=((x0[1:], y0), *rest)),
+        replace(ct, slots=((x0, y0 + "0"), *rest)),
+        replace(ct, security_param=2),
+    ]
+    for malformed in bad:
+        with pytest.raises(SchemeError):
+            scheme.decrypt(dk, malformed)
+
+
 # --- wire format ------------------------------------------------------------
 
 
@@ -323,3 +352,18 @@ def test_serialize_round_trip_property(x, nonce, body):
     assert deserialize_ciphertext(serialize_ciphertext(ct)) == ct
     ct2 = Scheme2Ciphertext(2, SkeCiphertext(nonce, body), ((x, body), (nonce, x)))
     assert deserialize_ciphertext(serialize_ciphertext(ct2)) == ct2
+
+
+@pytest.mark.parametrize("make_scheme", [lambda: OwfScheme(3), lambda: make_prfspd_scheme(3, 1, 3)],
+                         ids=["owf", "prfspd"])
+def test_deserialize_rejects_short_and_trailing_input(make_scheme, rng):
+    scheme = make_scheme()
+    _, ct = scheme.encrypt(scheme.qpk_gen(scheme.gen(rng)), "0111", rng)
+    data = serialize_ciphertext(ct)
+    assert deserialize_ciphertext(data) == ct
+    for cut in range(len(data)):
+        with pytest.raises(SchemeError):
+            deserialize_ciphertext(data[:cut])
+    for tail in (b"\x00", b"\x00\x01"):
+        with pytest.raises(SchemeError):
+            deserialize_ciphertext(data + tail)
