@@ -18,6 +18,8 @@ from .schemes import PrfsScheme, Scheme3Ciphertext
 class AdversaryStrategy:
     """Callback interface the challengers drive; subclass and override."""
 
+    # the schemes whose keys and ciphertexts the strategy can read
+    supported_schemes = ("owf", "prfspd", "prfs")
     key_copy_budget = 16
     query_budget = 16
 
@@ -96,6 +98,8 @@ class StateComparisonAdversary(AdversaryStrategy):
     family.
     """
 
+    supported_schemes = ("prfs",)
+
     def __init__(self, amplified: bool = True):
         self.amplified = amplified
         self.copy = None
@@ -105,7 +109,7 @@ class StateComparisonAdversary(AdversaryStrategy):
         return 1
 
     def receive_public_key_copy(self, qpk):
-        self.copy = qpk.states[0]
+        self.copy = qpk.state
 
     def choose_challenge(self):
         return "0", "1"
@@ -126,6 +130,8 @@ class CopyMeasureAdversary(AdversaryStrategy):
     """Measures its public-key copies and hopes to collide with the challenger's
     measurement outcome; decrypts the challenge directly on a collision."""
 
+    supported_schemes = ("owf",)
+
     def __init__(self, copies: int = 8, pair=None):
         self.copies = copies
         self.seen: dict[str, str] = {}
@@ -136,8 +142,7 @@ class CopyMeasureAdversary(AdversaryStrategy):
         return self.copies
 
     def receive_public_key_copy(self, qpk):
-        state = qpk.states[0]
-        outcome = sim.sample_outcome(state, state.full_range(), self.rng)
+        outcome = sim.sample_outcome(qpk.state, qpk.state.full_range(), self.rng)
         lam = self.scheme.security_param
         self.seen[outcome[:lam]] = outcome[lam:]
 
@@ -163,6 +168,8 @@ class CopyMeasureAdversary(AdversaryStrategy):
 class PadReuseAdversary(AdversaryStrategy):
     """Exploits keystream reuse: with a pinned nonce, an oracle query and the
     challenge share the pad, so XOR of the bodies reveals the plaintext."""
+
+    supported_schemes = ("owf", "prfspd")
 
     def __init__(self, width: int = 8):
         self.width = width
@@ -195,6 +202,8 @@ class PadReuseAdversary(AdversaryStrategy):
 class KeyReadoutAdversary(AdversaryStrategy):
     """Exploits predictable destruction proofs: when the tag half of a real
     proof is constant, the slot pattern leaks the symmetric key bit-by-bit."""
+
+    supported_schemes = ("prfspd",)
 
     def __init__(self):
         self.challenge_ct = None

@@ -79,9 +79,8 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
     x_star = x_star if x_star is not None else "0" * lam
     n = prf_output_width
-    if copies * (lam + n) > sim.q_max():
-        raise sim.CapacityError("explicit tensor construction exceeds qubit capacity")
-    qpk = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk_bits)).states[0]
+    sim.check_capacity(copies * (lam + n), "explicit tensor construction")
+    qpk = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk_bits)).state
     punctured = sim.puncture(qpk, x_star, WireRange(n, lam))
     full = reduce(sim.tensor, [qpk] * copies)
     full_punct = reduce(sim.tensor, [punctured] * copies)
@@ -144,9 +143,8 @@ def _joint_key_state(lam: int, copies: int, dk_bits: str):
     n = lam
     block = lam + n
     total = block * (copies + 1)
-    if total > sim.q_max():
-        raise sim.CapacityError("joint state exceeds qubit capacity")
-    qpk = OwfScheme(lam).qpk_gen(DecryptionKey(dk_bits)).states[0]
+    sim.check_capacity(total, "joint state")
+    qpk = OwfScheme(lam).qpk_gen(DecryptionKey(dk_bits)).state
     joint = reduce(sim.tensor, [qpk] * (copies + 1))
     ranges = []
     for j in range(copies + 1):
@@ -296,7 +294,7 @@ def _owf_keyed_distance(lam, copies, m0, m1, n) -> float:
     # each (x*, r) splits its 2 * 2^lam rows among its bodies' blocks
     _check_gram_budget((1 << (lam + n)) * (2 << lam) ** 2 + len(keys) * (1 << (lam + n)))
     scheme = OwfScheme(lam, prf_output_width=n)
-    key_states = np.array([scheme.qpk_gen(DecryptionKey(key)).states[0].amplitudes
+    key_states = np.array([scheme.qpk_gen(DecryptionKey(key)).state.amplitudes
                            for key in keys])
     weight = 1.0 / (len(keys) << (lam + n))
 

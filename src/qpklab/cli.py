@@ -53,6 +53,17 @@ class ConfigError(Exception):
     pass
 
 
+def adversary_class(scheme: str, name: str):
+    """The game adversary `name`, if it can play against `scheme`."""
+    adv_cls = ADVERSARIES.get(name)
+    if adv_cls is None:
+        raise ConfigError(f"unknown adversary {name!r}")
+    if scheme not in adv_cls.supported_schemes:
+        raise ConfigError(f"adversary {name!r} cannot play against scheme {scheme!r}; "
+                          f"it reads {', '.join(adv_cls.supported_schemes)}")
+    return adv_cls
+
+
 def build_scheme(name, lam, n, m):
     if lam < 1:
         raise ConfigError("lambda out of range")
@@ -192,9 +203,7 @@ def cmd_game(args, rng):
             return run_prfspd_cloning(scheme.prfspd, cloner_cls(params), child)
     else:
         scheme = build_scheme(args.scheme, args.lam, args.n, args.m)
-        adv_cls = ADVERSARIES.get(args.adversary)
-        if adv_cls is None:
-            raise ConfigError(f"unknown adversary {args.adversary!r}")
+        adv_cls = adversary_class(args.scheme, args.adversary)
         if args.game == "cpa":
             def runner(child):
                 return run_ind_cpa(scheme, adv_cls(), child)

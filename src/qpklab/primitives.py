@@ -144,13 +144,10 @@ class _StateFamily:
 
     def oracle_isometry(self, key: str, state: PureState) -> PureState:
         """sum_x a_x |x>  ->  sum_x a_x |x>|psi_{k,x}>, input register on d qubits."""
-        d = self.params.input_width
-        n = self.params.output_qubits
-        if state.qubit_count != d:
+        if state.qubit_count != self.params.input_width:
             raise sim.DimensionMismatchError("input register width does not match d")
-        if d + n > sim.q_max():
-            raise sim.CapacityError("isometry output exceeds qubit capacity")
-        return sim.controlled_state(state, n, lambda x: self.gen(key, x).amplitudes)
+        return sim.controlled_state(state, self.params.output_qubits,
+                                    lambda x: self.gen(key, x).amplitudes)
 
 
 class PhasePrfs(_StateFamily):

@@ -3,19 +3,21 @@
 Every scheme follows the four-algorithm shape: classical key generation, pure
 quantum public-key generation (repeated calls yield the identical state),
 encryption returning a recycled key alongside the ciphertext, and decryption
-from the classical key. Every public key is one `sim.controlled_state`: the
-OWF key directly, the PRFSPD slots and the PRFS key through their state
-family's `oracle_isometry`.
+from the classical key. Every public key holds one pure state, a
+`sim.controlled_state`: the OWF key directly, the PRFSPD slot and the PRFS key
+through their state family's `oracle_isometry`. Every quantum object is pure;
+a mixed state is an ensemble that is sampled.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
   the outcome, and symmetric-encrypts under the measured PRF value. Classical
   ciphertexts, perfect correctness, supports the encryption-oracle games.
-- PrfspdScheme: lambda independent slots sum_x |x>|psi_dk,x>; encrypting
-  measures each slot, deletes the residual states for proofs, and hides a fresh
-  symmetric key bit-by-bit behind real-vs-random proofs. Classical ciphertexts.
+- PrfspdScheme: lambda copies of the slot state sum_x |x>|psi_dk,x>;
+  encrypting measures lambda slots, deletes the residual states for proofs,
+  and hides a fresh symmetric key bit-by-bit behind real-vs-random proofs.
+  Classical ciphertexts.
 - PrfsScheme: single-shot, one-bit messages; the ciphertext is the measured
-  input together with either the matching function-like state or a maximally
-  mixed payload.
+  input together with either the matching function-like state or, for the
+  maximally mixed payload of message 1, a uniformly sampled basis state.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .bits import bits_to_int, check_bits, pack_bits, random_bits, unpack_bits
+from .bits import bits_to_int, check_bits, int_to_bits, pack_bits, random_bits, unpack_bits
 from .primitives import (
     PhasePrfs,
     PrfspdProof,
@@ -35,7 +37,6 @@ from .primitives import (
     ToyPrfspd,
     prf_eval,
 )
-from .sim import DensityMatrix
 
 
 class SchemeError(ValueError):
@@ -59,17 +60,16 @@ class DecryptionKey:
 class QuantumPublicKey:
     """A public-key value plus its recycling state.
 
-    `states` holds one pure state per independent register block (one entry
-    for the OWF and PRFS schemes, lambda slot states for the PRFSPD scheme,
-    kept separate so each slot stays within qubit capacity). Copies of one
-    key share a single tuple of states with read-only amplitudes; the
+    `state` is the key's pure state; the PRFSPD key is lambda copies of this
+    one slot state, kept as one so each slot stays within qubit capacity.
+    Copies of one key share that state with read-only amplitudes; the
     recycling record is each copy's own. `residue` caches the classical data
     produced by the first measuring encryption; `consumed` marks a spent
     single-shot key.
     """
 
     scheme: str
-    states: tuple
+    state: sim.PureState
     consumed: bool = False
     residue: object = None
 
@@ -91,7 +91,7 @@ class Scheme2Ciphertext:
 @dataclass(frozen=True)
 class Scheme3Ciphertext:
     x: str
-    payload: object  # PureState or DensityMatrix
+    payload: sim.PureState
 
 
 class QpkeScheme:
@@ -104,7 +104,7 @@ class QpkeScheme:
         if security_param < 1:
             raise SchemeError("security parameter out of range")
         self.security_param = security_param
-        self._last_public = None  # (dk bits, states) of the last key built
+        self._last_public = None  # (dk bits, state) of the last key built
 
     def gen(self, rng: np.random.Generator) -> DecryptionKey:
         return DecryptionKey(random_bits(self.security_param, rng))
@@ -112,20 +112,19 @@ class QpkeScheme:
     def qpk_gen(self, dk: DecryptionKey) -> QuantumPublicKey:
         """A fresh copy of the public key for `dk`.
 
-        Every copy under one decryption key is the same state, so the states
-        of the last key are built once: repeated calls share one tuple of
-        states with read-only amplitudes, and each call mints an independent
-        recycling record (`consumed`, `residue`).
+        Every copy under one decryption key is the same state, so the state
+        of the last key is built once: repeated calls share it with read-only
+        amplitudes, and each call mints an independent recycling record
+        (`consumed`, `residue`).
         """
         if self._last_public is None or self._last_public[0] != dk.bits:
-            states = self._public_states(dk)
-            for state in states:
-                state.amplitudes.setflags(write=False)
-            self._last_public = (dk.bits, states)
+            state = self._public_state(dk)
+            state.amplitudes.setflags(write=False)
+            self._last_public = (dk.bits, state)
         return QuantumPublicKey(self.name, self._last_public[1])
 
-    def _public_states(self, dk: DecryptionKey) -> tuple:
-        """Build the public-key states for `dk`, one per register block."""
+    def _public_state(self, dk: DecryptionKey) -> sim.PureState:
+        """Build the public-key state for `dk`."""
         raise NotImplementedError
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng: np.random.Generator):
@@ -162,10 +161,9 @@ class OwfScheme(QpkeScheme):
         self.prf_output_width = prf_output_width or security_param
         self.prf = prf
         self.ske = ske or StreamSke()
-        if security_param + self.prf_output_width > sim.q_max():
-            raise sim.CapacityError("public key exceeds qubit capacity")
+        sim.check_capacity(security_param + self.prf_output_width, "public key")
 
-    def _public_states(self, dk: DecryptionKey) -> tuple:
+    def _public_state(self, dk: DecryptionKey) -> sim.PureState:
         n = self.prf_output_width
 
         def image(x):
@@ -173,7 +171,7 @@ class OwfScheme(QpkeScheme):
             vec[bits_to_int(check_bits(self.prf(dk.bits, x, n), n))] = 1.0
             return vec
 
-        return (sim.controlled_state(sim.uniform_superposition(self.security_param), n, image),)
+        return sim.controlled_state(sim.uniform_superposition(self.security_param), n, image)
 
     def _ciphertext_for(self, y: str, x: str, message: str, rng) -> Scheme1Ciphertext:
         # shared by encrypt (post-measurement) and exhaustive correctness runs
@@ -182,8 +180,7 @@ class OwfScheme(QpkeScheme):
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
         self.check_message(message)
         if qpk.residue is None:
-            state = qpk.states[0]
-            outcome = sim.sample_outcome(state, state.full_range(), rng)
+            outcome = sim.sample_outcome(qpk.state, qpk.state.full_range(), rng)
             lam = self.security_param
             qpk.residue = (outcome[:lam], outcome[lam:])
         x, y = qpk.residue
@@ -210,17 +207,16 @@ class PrfspdScheme(QpkeScheme):
             raise SchemeError("family input width must equal the security parameter")
         self.prfspd = prfspd
         self.ske = ske or StreamSke()
-        if security_param + prfspd.params.output_qubits > sim.q_max():
-            raise sim.CapacityError("slot state exceeds qubit capacity")
+        sim.check_capacity(security_param + prfspd.params.output_qubits, "slot state")
 
-    def _public_states(self, dk: DecryptionKey) -> tuple:
-        lam = self.security_param
-        return (self.prfspd.oracle_isometry(dk.bits, sim.uniform_superposition(lam)),) * lam
+    def _public_state(self, dk: DecryptionKey) -> sim.PureState:
+        return self.prfspd.oracle_isometry(dk.bits, sim.uniform_superposition(self.security_param))
 
     def _measure_slots(self, qpk: QuantumPublicKey, rng):
+        """Measure lambda copies of the slot state and delete each residual state."""
         residue = []
-        for slot in qpk.states:
-            x, block = sim.measure_control(slot, self.security_param, rng)
+        for _ in range(self.security_param):
+            x, block = sim.measure_control(qpk.state, self.security_param, rng)
             residue.append((x, self.prfspd.delete(block, rng).bits))
         qpk.residue = tuple(residue)
 
@@ -277,38 +273,29 @@ class PrfsScheme(QpkeScheme):
         if prfs.params.key_width != security_param:
             raise SchemeError("family key width must equal the security parameter")
         self.prfs = prfs
-        d = prfs.params.input_width
-        n = prfs.params.output_qubits
-        if d + n > sim.q_max():
-            raise sim.CapacityError("public key exceeds qubit capacity")
+        sim.check_capacity(prfs.params.input_width + prfs.params.output_qubits, "public key")
 
     def check_message(self, message: str) -> str:
         if message not in ("0", "1"):
             raise SchemeError("message must be a single bit")
         return message
 
-    def _public_states(self, dk: DecryptionKey) -> tuple:
+    def _public_state(self, dk: DecryptionKey) -> sim.PureState:
         d = self.prfs.params.input_width
-        return (self.prfs.oracle_isometry(dk.bits, sim.uniform_superposition(d)),)
+        return self.prfs.oracle_isometry(dk.bits, sim.uniform_superposition(d))
 
-    def encrypt(self, qpk: QuantumPublicKey, message: str, rng, mixed_as_density=False):
+    def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
         """Single-shot encryption of one bit.
 
-        For message 1 the payload is maximally mixed: a sampled uniform basis
-        state by default (ensemble-equivalent, keeps game runs pure), or the
-        explicit density matrix when `mixed_as_density` is set.
+        For message 1 the payload is the maximally mixed state, sent as a
+        uniformly sampled basis state of that ensemble.
         """
         self.check_message(message)
         if qpk.consumed:
             raise KeyConsumedError("public key already used; the scheme is single-shot")
         n = self.prfs.params.output_qubits
-        x, block = sim.measure_control(qpk.states[0], self.prfs.params.input_width, rng)
-        if message == "0":
-            payload = block
-        elif mixed_as_density:
-            payload = DensityMatrix.maximally_mixed(n)
-        else:
-            payload = sim.basis_state(n, random_bits(n, rng))
+        x, block = sim.measure_control(qpk.state, self.prfs.params.input_width, rng)
+        payload = block if message == "0" else sim.basis_state(n, random_bits(n, rng))
         qpk.consumed = True
         return qpk, Scheme3Ciphertext(x, payload)
 
@@ -321,9 +308,11 @@ class PrfsScheme(QpkeScheme):
         return "0" if accept else "1"
 
     def decrypt_error_exact(self, dk: DecryptionKey, x: str) -> float:
-        """Exact probability of decrypting the mixed (message 1) payload as 0."""
-        mixed = DensityMatrix.maximally_mixed(self.prfs.params.output_qubits)
-        return self.prfs.test_exact(dk.bits, x, mixed)
+        """Exact probability of decrypting the mixed (message 1) payload as 0:
+        the tester's acceptance averaged over the 2^n basis payloads."""
+        n = self.prfs.params.output_qubits
+        payloads = (sim.basis_state(n, int_to_bits(v, n)) for v in range(1 << n))
+        return float(np.mean([self.prfs.test_exact(dk.bits, x, p) for p in payloads]))
 
 
 # --- classical ciphertext wire format -------------------------------------
@@ -340,7 +329,7 @@ def _put_bits(parts: list, s: str):
 
 
 class _Reader:
-    """Reads the wire fields in order; short input is a `SchemeError`."""
+    """Reads the wire fields in order; short input and nonzero padding are a `SchemeError`."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -356,8 +345,12 @@ class _Reader:
         return int.from_bytes(self._take(2), "big")
 
     def bits(self) -> str:
+        """A bit field; the padding bits of its last byte must be zero."""
         width = self.u16()
-        return unpack_bits(self._take((width + 7) // 8), width)
+        data = self._take((width + 7) // 8)
+        if data and data[-1] & ((1 << (-width % 8)) - 1):
+            raise SchemeError("ciphertext field has nonzero padding bits")
+        return unpack_bits(data, width)
 
     def finish(self, ct):
         """`ct` if every byte was read; trailing bytes are a `SchemeError`."""

@@ -1,10 +1,11 @@
-"""Dense pure-state / density-matrix simulator.
+"""Dense pure-state simulator.
 
 Every quantum object in the package lives here: statevectors over the
-computational basis of q qubits, small density matrices, classical-function
-oracles, computational-basis measurement with projection, puncturing, and the
-standard distance measures. Amplitudes are dense complex vectors; there is no
-gate set and no noise model, only what the constructions actually use.
+computational basis of q qubits, classical-function oracles,
+computational-basis measurement with projection, puncturing, and the standard
+distance measures. Amplitudes are dense complex vectors; there is no gate set
+and no noise model, only what the constructions actually use. A mixed state
+is held as an ensemble of pure states, which callers sample or enumerate.
 
 Bit order is little-endian: qubit 0 is the least significant bit of the basis
 index. A register of width w at offset o holds the bits (index >> o) & (2^w-1).
@@ -43,6 +44,12 @@ def q_max() -> int:
 
 class CapacityError(ValueError):
     """Requested object does not fit in the configured qubit capacity."""
+
+
+def check_capacity(qubit_count: int, what: str) -> None:
+    """Raise `CapacityError`, before any allocation, unless `qubit_count` is in [1, q_max()]."""
+    if not 1 <= qubit_count <= q_max():
+        raise CapacityError(f"{what} needs {qubit_count} qubits, outside [1, {q_max()}]")
 
 
 class DimensionMismatchError(ValueError):
@@ -86,8 +93,7 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.qubit_count <= q_max():
-            raise CapacityError(f"qubit count {self.qubit_count} out of range [1, {q_max()}]")
+        check_capacity(self.qubit_count, "state")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.qubit_count,):
             raise ValueError("amplitude vector length does not match qubit count")
@@ -104,40 +110,6 @@ class PureState:
         return WireRange(0, self.qubit_count)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD, trace-1 matrix over the basis of `qubit_count` qubits."""
-
-    qubit_count: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        dim = 1 << self.qubit_count
-        if mat.shape != (dim, dim):
-            raise ValueError("matrix shape does not match qubit count")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL_ALGEBRA):
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL_ALGEBRA:
-            raise ValueError("matrix trace is not 1")
-        if np.linalg.eigvalsh(mat).min() < -ATOL_ALGEBRA:
-            raise ValueError("matrix has a negative eigenvalue")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.qubit_count
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return cls(state.qubit_count, np.outer(state.amplitudes, state.amplitudes.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, qubit_count: int) -> "DensityMatrix":
-        dim = 1 << qubit_count
-        return cls(qubit_count, np.eye(dim) / dim)
-
-
 def basis_state(qubit_count: int, bits: str) -> PureState:
     """Computational basis state |bits> (big-endian bitstring)."""
     check_bits(bits, qubit_count)
@@ -148,8 +120,7 @@ def basis_state(qubit_count: int, bits: str) -> PureState:
 
 def uniform_superposition(qubit_count: int) -> PureState:
     """Equal superposition over all basis states, amplitude 2^{-q/2} each."""
-    if not 1 <= qubit_count <= q_max():
-        raise CapacityError(f"qubit count {qubit_count} out of range [1, {q_max()}]")
+    check_capacity(qubit_count, "uniform superposition")
     dim = 1 << qubit_count
     return PureState(qubit_count, np.full(dim, dim ** -0.5, dtype=np.complex128))
 
@@ -160,8 +131,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     tensor(|x>, |z>) == |xz>: the combined basis index is ia * 2^qb + ib.
     """
     q = a.qubit_count + b.qubit_count
-    if q > q_max():
-        raise CapacityError(f"tensor product needs {q} qubits, capacity is {q_max()}")
+    check_capacity(q, "tensor product")
     return PureState(q, np.kron(a.amplitudes, b.amplitudes))
 
 
@@ -172,8 +142,7 @@ def controlled_state(control: PureState, block_qubits: int, block_of) -> PureSta
     of its `block_qubits`-qubit block, and is called only where a_x != 0.
     """
     q = control.qubit_count + block_qubits
-    if q > q_max():
-        raise CapacityError(f"controlled state needs {q} qubits, capacity is {q_max()}")
+    check_capacity(q, "controlled state")
     amps = np.zeros((control.dim, 1 << block_qubits), dtype=np.complex128)
     for xv in np.flatnonzero(control.amplitudes).tolist():
         amps[xv] = control.amplitudes[xv] * block_of(int_to_bits(xv, control.qubit_count))
@@ -296,65 +265,33 @@ def puncture(state: PureState, marked: str, wires: WireRange) -> PureState:
     return PureState(state.qubit_count, amps / np.sqrt(norm2))
 
 
-def _check_same_qubits(a, b):
+def fidelity(a: PureState, b: PureState) -> float:
+    """|<a|b>|^2."""
     if a.qubit_count != b.qubit_count:
-        raise DimensionMismatchError(
-            f"operands act on {a.qubit_count} and {b.qubit_count} qubits"
-        )
+        raise DimensionMismatchError(f"operands act on {a.qubit_count} and {b.qubit_count} qubits")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def fidelity(a, b) -> float:
-    """|<a|b>|^2 for pure states, <a|rho|a> for pure/mixed, Uhlmann for mixed/mixed."""
-    _check_same_qubits(a, b)
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    if isinstance(a, PureState):
-        return float(np.real(a.amplitudes.conj() @ b.matrix @ a.amplitudes))
-    if isinstance(b, PureState):
-        return fidelity(b, a)
-    root = _psd_sqrt(a.matrix)
-    inner = np.linalg.eigvalsh(root @ b.matrix @ root)
-    return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix; rounding-negative eigenvalues count as 0."""
-    vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-
-
-def trace_distance(a, b) -> float:
-    """sqrt(1 - F) for pure states; half the trace norm of the difference otherwise."""
-    _check_same_qubits(a, b)
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return float(np.sqrt(max(0.0, 1.0 - fidelity(a, b))))
-    ra = a.matrix if isinstance(a, DensityMatrix) else DensityMatrix.from_pure(a).matrix
-    rb = b.matrix if isinstance(b, DensityMatrix) else DensityMatrix.from_pure(b).matrix
-    eigs = np.linalg.eigvalsh(ra - rb)
-    return float(0.5 * np.abs(eigs).sum())
+def trace_distance(a: PureState, b: PureState) -> float:
+    """sqrt(1 - F), the trace distance of two pure states."""
+    return float(np.sqrt(max(0.0, 1.0 - fidelity(a, b))))
 
 
 def swap_test(a: PureState, b: PureState, rng: np.random.Generator) -> int:
     """Equality test: returns 1 ("same") with probability (1 + |<a|b>|^2) / 2."""
-    _check_same_qubits(a, b)
     p_accept = 0.5 * (1.0 + fidelity(a, b))
     return int(rng.random() < p_accept)
 
 
-def project_onto(state, reference: PureState, rng: np.random.Generator):
+def project_onto(state: PureState, reference: PureState, rng: np.random.Generator):
     """Binary projective measurement {|ref><ref|, 1 - |ref><ref|} on `state`.
 
     Accepts with probability fidelity(reference, state). Returns
-    (accept bit, post-state); for a PureState input the post-state is the
-    reference on accept and the renormalized orthogonal component otherwise.
-    For a DensityMatrix input the post-state is omitted (None).
+    (accept bit, post-state): the reference on accept and the renormalized
+    orthogonal component otherwise.
     """
-    _check_same_qubits(state, reference)
     p_accept = fidelity(reference, state)
-    accept = int(rng.random() < p_accept)
-    if isinstance(state, DensityMatrix):
-        return accept, None
-    if accept:
+    if rng.random() < p_accept:
         return 1, reference
     overlap = np.vdot(reference.amplitudes, state.amplitudes)
     residual = state.amplitudes - overlap * reference.amplitudes
@@ -367,8 +304,7 @@ def project_onto(state, reference: PureState, rng: np.random.Generator):
 
 def haar_random_state(qubit_count: int, rng: np.random.Generator) -> PureState:
     """State drawn from the Haar measure: normalized complex Gaussian vector."""
-    if qubit_count > q_max():
-        raise CapacityError(f"qubit count {qubit_count} exceeds capacity {q_max()}")
+    check_capacity(qubit_count, "Haar-random state")
     dim = 1 << qubit_count
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(qubit_count, vec / np.linalg.norm(vec))

@@ -151,7 +151,7 @@ def _qr_owf_terms(lam, copies, message, n, r_width):
     keys = [int_to_bits(v, lam) for v in range(1 << lam)]
     weight = 1.0 / (len(keys) * (1 << lam) * (1 << r_width))
     for key in keys:
-        qpk = scheme.qpk_gen(DecryptionKey(key)).states[0]
+        qpk = scheme.qpk_gen(DecryptionKey(key)).state
         qpk_p = _tensor_power(qpk.amplitudes, copies)
         for xv in range(1 << lam):
             y = prf_eval(key, int_to_bits(xv, lam), n)

@@ -1,6 +1,9 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +193,56 @@ def test_game_eo_on_prfs_rejected(capsys):
     code, _out, err = run_cli(capsys, "game", "--scheme", "prfs", "--game", "cpa-eo",
                               "--trials", "100", "--seed", "5")
     assert code == EXIT_CONFIG
+
+
+# the schemes whose keys and ciphertexts each game adversary reads
+ADVERSARY_SCHEMES = {
+    "random-guess": {"owf", "prfspd", "prfs"},
+    "always-zero": {"owf", "prfspd", "prfs"},
+    "state-compare": {"prfs"},
+    "copy-measure": {"owf"},
+    "pad-reuse": {"owf", "prfspd"},
+    "key-readout": {"prfspd"},
+}
+UNPLAYABLE = sorted((scheme, adversary) for adversary, schemes in ADVERSARY_SCHEMES.items()
+                    for scheme in {"owf", "prfspd", "prfs"} - schemes)
+
+
+def test_adversary_class_accepts_exactly_the_schemes_it_reads():
+    assert set(ADVERSARY_SCHEMES) == set(cli.ADVERSARIES)
+    for adversary, schemes in ADVERSARY_SCHEMES.items():
+        for scheme in schemes:
+            assert cli.adversary_class(scheme, adversary) is cli.ADVERSARIES[adversary]
+
+
+@pytest.mark.parametrize("scheme,adversary", UNPLAYABLE)
+def test_game_rejects_adversary_that_cannot_play_the_scheme(capsys, scheme, adversary):
+    game = "cpa" if scheme == "prfs" else "cpa-eo"
+    code, out, err = run_cli(capsys, "game", "--scheme", scheme, "--game", game,
+                             "--adversary", adversary, "--lambda", "3", "--trials", "200",
+                             "--seed", "2")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert adversary in err
+
+
+def test_readme_commands_parse_and_pair_playable_adversaries():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("qpklab "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    assert len(commands) == 5
+    parser = cli.make_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command != "game":
+            continue
+        if args.game == "cloning":
+            assert args.adversary in cli.CLONERS
+        else:
+            cli.adversary_class(args.scheme, args.adversary)
 
 
 # --- analysis ---------------------------------------------------------------

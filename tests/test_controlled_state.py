@@ -68,7 +68,7 @@ def test_owf_key_bitwise_equal_to_oracle_construction(lam, n):
     scheme = OwfScheme(lam, prf_output_width=n)
     for kv in range(min(1 << lam, 4)):
         dk = int_to_bits(kv, lam)
-        key = scheme.qpk_gen(DecryptionKey(dk)).states[0]
+        key = scheme.qpk_gen(DecryptionKey(dk)).state
         assert same_bits(key.amplitudes, reference_owf_key(dk, lam, n).amplitudes)
 
 
@@ -84,10 +84,9 @@ def test_prfspd_slots_bitwise_equal_to_loop_construction(lam, m, t):
     scheme = PrfspdScheme(lam, family)
     for kv in range(min(1 << lam, 4)):
         dk = int_to_bits(kv, lam)
-        slots = scheme.qpk_gen(DecryptionKey(dk)).states
+        slot = scheme.qpk_gen(DecryptionKey(dk)).state
         reference = reference_prfspd_slot(family, dk, lam)
-        assert len(slots) == lam
-        assert all(same_bits(slot.amplitudes, reference.amplitudes) for slot in slots)
+        assert same_bits(slot.amplitudes, reference.amplitudes)
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 2), (3, 2), (3, 3)])
@@ -146,11 +145,11 @@ def test_controlled_state_capacity_error_before_allocation(monkeypatch):
 def test_measure_control_matches_measure_then_slice_over_seeds():
     prfs_key = PrfsScheme(3, PhasePrfs(PrfsParams(3, 3, 2))).qpk_gen(DecryptionKey("110"))
     prfspd = PrfspdScheme(3, ToyPrfspd(PrfspdParams(3, 3, 1, 2)))
-    slot = prfspd.qpk_gen(DecryptionKey("011")).states[0]
+    slot = prfspd.qpk_gen(DecryptionKey("011")).state
     rng = np.random.default_rng(8)
     haar = sim.controlled_state(sim.haar_random_state(2, rng), 3,
                                 lambda x: sim.haar_random_state(3, rng).amplitudes)
-    for state, control_width in ((prfs_key.states[0], 3), (slot, 3), (haar, 2)):
+    for state, control_width in ((prfs_key.state, 3), (slot, 3), (haar, 2)):
         for seed in range(60):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             x, block = sim.measure_control(state, control_width, rng_a)
@@ -164,7 +163,7 @@ def test_measure_control_matches_measure_then_slice_over_seeds():
 def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeypatch):
     slot = PrfspdScheme(8, ToyPrfspd(PrfspdParams(8, 8, 1, 6))).qpk_gen(DecryptionKey("10110010"))
     prfs_key = PrfsScheme(6, PhasePrfs(PrfsParams(6, 6, 4))).qpk_gen(DecryptionKey("011010"))
-    cases = [(key.states[0], control_width, seed)
+    cases = [(key.state, control_width, seed)
              for key, control_width in ((slot, 8), (prfs_key, 6)) for seed in range(20)]
     references = []
     for state, control_width, seed in cases:

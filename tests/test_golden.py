@@ -24,6 +24,9 @@ COMMANDS = {
     "game_owf_cpa_eo_multi_random_guess.txt":
         "game --scheme owf --game cpa-eo-multi --adversary random-guess --lambda 4 --trials 200 "
         "--seed 5",
+    "game_prfspd_cpa_eo_key_readout.txt":
+        "game --scheme prfspd --game cpa-eo --adversary key-readout --lambda 3 --trials 200 "
+        "--seed 4",
     "analyze_all.txt": "analyze --check all --lambda 2 --seed 1",
 }
 

@@ -208,7 +208,8 @@ def test_prfs_tester(rng):
     prfs = PhasePrfs(PrfsParams(3, 3, 4))
     state = prfs.gen("110", "001")
     assert prfs.test_exact("110", "001", state) == 1.0
-    assert abs(prfs.test_exact("110", "001", sim.DensityMatrix.maximally_mixed(4)) - 2**-4) < 1e-12
+    basis = [sim.basis_state(4, int_to_bits(v, 4)) for v in range(16)]
+    assert abs(np.mean([prfs.test_exact("110", "001", b) for b in basis]) - 2**-4) < 1e-12
     assert prfs.test("110", "001", state, rng) == 1
     hits = sum(prfs.test("110", "001", sim.basis_state(4, "0000"), rng) for _ in range(2000))
     sigma = math.sqrt(2000 * 2**-4)

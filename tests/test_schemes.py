@@ -60,7 +60,7 @@ def test_gen_contract():
 def test_owf_qpk_amplitudes():
     scheme = OwfScheme(3, prf_output_width=3)
     dk = DecryptionKey("101")
-    state = scheme.qpk_gen(dk).states[0]
+    state = scheme.qpk_gen(dk).state
     for xv in range(8):
         y = int(prf_eval("101", int_to_bits(xv, 3), 3), 2)
         for zv in range(8):
@@ -78,14 +78,12 @@ def test_qpk_gen_repeatable(factory):
     scheme = factory()
     dk = scheme.gen(np.random.default_rng(2))
     a, b = scheme.qpk_gen(dk), scheme.qpk_gen(dk)
-    for sa, sb in zip(a.states, b.states):
-        assert abs(sim.fidelity(sa, sb) - 1.0) < 1e-10
-    # copies share one read-only state tuple but not the recycling record
+    assert abs(sim.fidelity(a.state, b.state) - 1.0) < 1e-10
+    # copies share one read-only state but not the recycling record
     assert a is not b
-    assert all(sa is sb for sa, sb in zip(a.states, b.states))
-    for state in a.states:
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.0
+    assert a.state is b.state
+    with pytest.raises(ValueError):
+        a.state.amplitudes[0] = 0.0
     message = "1" if scheme.name == "prfs" else "0110"
     rng = np.random.default_rng(3)
     scheme.encrypt(a, message, rng)
@@ -95,14 +93,14 @@ def test_qpk_gen_repeatable(factory):
         assert scheme.decrypt(dk, ct) == message
     other = DecryptionKey("".join("1" if c == "0" else "0" for c in dk.bits))
     c = scheme.qpk_gen(other)
-    assert c.states[0] is not a.states[0]
-    assert abs(sim.fidelity(c.states[0], a.states[0]) - 1.0) > 1e-6
+    assert c.state is not a.state
+    assert abs(sim.fidelity(c.state, a.state) - 1.0) > 1e-6
 
 
 def test_prfs_qpk_matches_isometry():
     scheme = make_prfs_scheme(3, 2)
     dk = DecryptionKey("011")
-    qpk = scheme.qpk_gen(dk).states[0]
+    qpk = scheme.qpk_gen(dk).state
     direct = scheme.prfs.oracle_isometry("011", sim.uniform_superposition(3))
     assert abs(sim.fidelity(qpk, direct) - 1.0) < 1e-12
 
@@ -251,23 +249,14 @@ def test_prfs_scheme_zero_message_exact(rng):
         qpk = scheme.qpk_gen(dk)
         _, ct = scheme.encrypt(qpk, "0", rng)
         assert scheme.decrypt(dk, ct, rng) == "0"
+    with pytest.raises(SchemeError):
+        scheme.decrypt(dk, ct)  # decryption needs an rng
 
 
 def test_prfs_scheme_exact_error(rng):
     scheme = make_prfs_scheme(3, 4)
     dk = scheme.gen(rng)
     assert abs(scheme.decrypt_error_exact(dk, "010") - 2**-4) < 1e-12
-
-
-def test_prfs_scheme_density_payload(rng):
-    scheme = make_prfs_scheme(3, 2)
-    dk = scheme.gen(rng)
-    qpk = scheme.qpk_gen(dk)
-    _, ct = scheme.encrypt(qpk, "1", rng, mixed_as_density=True)
-    assert isinstance(ct.payload, sim.DensityMatrix)
-    assert scheme.decrypt(dk, ct, rng) in ("0", "1")
-    with pytest.raises(SchemeError):
-        scheme.decrypt(dk, ct)  # decryption needs an rng
 
 
 def test_ciphertext_type_checks(rng):
@@ -367,3 +356,37 @@ def test_deserialize_rejects_short_and_trailing_input(make_scheme, rng):
     for tail in (b"\x00", b"\x00\x01"):
         with pytest.raises(SchemeError):
             deserialize_ciphertext(data + tail)
+
+
+def _padding_bits(data: bytes):
+    """(byte index, bit) of every padding bit of the bit fields in a serialized ciphertext."""
+    pos, found = 3, []  # after the tag byte and the u16 security parameter
+    fields = ["bits"] * 3 if data[0] == 1 else ["bits", "bits", "count"]
+    while fields:
+        kind = fields.pop(0)
+        value = int.from_bytes(data[pos:pos + 2], "big")
+        pos += 2
+        if kind == "count":
+            fields += ["bits"] * (2 * value)
+            continue
+        pos += (value + 7) // 8
+        found += [(pos - 1, bit) for bit in range(-value % 8)]
+    assert pos == len(data)
+    return found
+
+
+@pytest.mark.parametrize("make_scheme", [lambda: OwfScheme(3), lambda: make_prfspd_scheme(3, 1, 3)],
+                         ids=["owf", "prfspd"])
+def test_deserialize_rejects_nonzero_padding_bits(make_scheme, rng):
+    scheme = make_scheme()
+    _, ct = scheme.encrypt(scheme.qpk_gen(scheme.gen(rng)), "0111", rng)
+    data = serialize_ciphertext(ct)
+    padding = _padding_bits(data)
+    # every field is narrower than a whole number of bytes
+    fields = 3 if isinstance(ct, Scheme1Ciphertext) else 2 + 2 * len(ct.slots)
+    assert len({index for index, _bit in padding}) == fields
+    for index, bit in padding:
+        corrupted = bytearray(data)
+        corrupted[index] |= 1 << bit
+        with pytest.raises(SchemeError):
+            deserialize_ciphertext(bytes(corrupted))

@@ -9,7 +9,6 @@ from qpklab import sim
 from qpklab.bits import bits_to_int, int_to_bits
 from qpklab.primitives import prf_eval
 from qpklab.sim import (
-    DensityMatrix,
     DimensionMismatchError,
     EmptyProjectionError,
     PureState,
@@ -66,16 +65,6 @@ def test_pure_state_validation():
         PureState(1, np.array([1.0, 1.0]))  # not normalized
     with pytest.raises(sim.CapacityError):
         PureState(0, np.array([1.0]))
-
-
-def test_density_matrix_validation():
-    DensityMatrix.maximally_mixed(2)
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[2.0, 0.0], [0.0, -1.0]]))  # negative eigenvalue
 
 
 def test_wire_range():
@@ -281,24 +270,12 @@ def test_fidelity_trivials(rng):
     s = sim.haar_random_state(2, rng)
     assert abs(sim.fidelity(s, s) - 1.0) < 1e-12
     assert sim.fidelity(sim.basis_state(1, "0"), sim.basis_state(1, "1")) == 0.0
-    mixed = DensityMatrix.maximally_mixed(3)
-    assert abs(sim.fidelity(sim.haar_random_state(3, rng), mixed) - 2**-3) < 1e-12
+    # against the maximally mixed state, held as the ensemble of basis states
+    s3 = sim.haar_random_state(3, rng)
+    mean = np.mean([sim.fidelity(s3, sim.basis_state(3, int_to_bits(v, 3))) for v in range(8)])
+    assert abs(mean - 2**-3) < 1e-12
     with pytest.raises(DimensionMismatchError):
         sim.fidelity(sim.basis_state(1, "0"), sim.basis_state(2, "00"))
-
-
-@pytest.mark.filterwarnings("error")
-def test_fidelity_mixed_mixed():
-    a = DensityMatrix.maximally_mixed(1)
-    b = DensityMatrix.from_pure(sim.basis_state(1, "0"))
-    assert abs(sim.fidelity(a, b) - 0.5) < 1e-9
-    assert abs(sim.fidelity(b, a) - 0.5) < 1e-9
-    assert abs(sim.fidelity(a, a) - 1.0) < 1e-9
-    # commuting pair: F = (sum_i sqrt(p_i q_i))^2
-    p = np.array([0.5, 0.25, 0.125, 0.125])
-    q = np.array([0.1, 0.2, 0.3, 0.4])
-    rho, sigma = DensityMatrix(2, np.diag(p)), DensityMatrix(2, np.diag(q))
-    assert abs(sim.fidelity(rho, sigma) - np.sqrt(p * q).sum() ** 2) < 1e-12
 
 
 def test_trace_distance_trivials(rng):
@@ -307,12 +284,12 @@ def test_trace_distance_trivials(rng):
     assert abs(sim.trace_distance(sim.basis_state(1, "0"), sim.basis_state(1, "1")) - 1.0) < 1e-12
 
 
-def test_trace_distance_pure_vs_density_paths(rng):
+def test_trace_distance_matches_half_trace_norm(rng):
     a = sim.haar_random_state(2, rng)
     b = sim.haar_random_state(2, rng)
-    pure_path = sim.trace_distance(a, b)
-    dm_path = sim.trace_distance(DensityMatrix.from_pure(a), DensityMatrix.from_pure(b))
-    assert abs(pure_path - dm_path) < 1e-9
+    rho_a, rho_b = (np.outer(s.amplitudes, s.amplitudes.conj()) for s in (a, b))
+    half_trace_norm = 0.5 * np.abs(np.linalg.eigvalsh(rho_a - rho_b)).sum()
+    assert abs(sim.trace_distance(a, b) - half_trace_norm) < 1e-9
 
 
 def test_swap_test(rng):
@@ -336,8 +313,6 @@ def test_project_onto(rng):
     assert accept == 1 and abs(sim.fidelity(post, ref) - 1.0) < 1e-12
     accept, post = sim.project_onto(sim.basis_state(1, "1"), ref, rng)
     assert accept == 0 and abs(sim.fidelity(post, sim.basis_state(1, "1")) - 1.0) < 1e-12
-    accept, post = sim.project_onto(DensityMatrix.maximally_mixed(1), ref, rng)
-    assert accept in (0, 1) and post is None
 
 
 # --- puncture ---------------------------------------------------------------
