@@ -36,22 +36,21 @@ def int_to_bits(v: int, width: int) -> str:
 def xor_bits(a: str, b: str) -> str:
     if len(a) != len(b):
         raise ValueError("xor of bitstrings with different lengths")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b") if a else ""
 
 
 def random_bits(width: int, rng: np.random.Generator) -> str:
-    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=width))
+    draw = rng.integers(0, 2, size=width)
+    return (draw + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
 def pack_bits(s: str) -> bytes:
     """Pack a bitstring MSB-first into bytes, zero-padded at the tail."""
     check_bits(s)
-    padded = s + "0" * (-len(s) % 8)
-    return bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
+    return (int(s or "0", 2) << (-len(s) % 8)).to_bytes((len(s) + 7) // 8, "big")
 
 
 def unpack_bits(data: bytes, width: int) -> str:
-    s = "".join(format(byte, "08b") for byte in data)
-    if len(s) < width:
+    if 8 * len(data) < width:
         raise ValueError("not enough bytes for requested bit width")
-    return s[:width]
+    return int_to_bits(int.from_bytes(data, "big") >> (8 * len(data) - width), width)

@@ -160,7 +160,7 @@ def cmd_correctness(args, rng):
         draw_message = lambda child: random_bits(8, child)
         if args.scheme == "prfs":
             exact_err = 2.0 ** -scheme.prfs.params.output_qubits
-            rows.append(["prfs", "m1-error", f"{exact_err:.6f}", "EXACT", "density-path"])
+            rows.append(["prfs", "m1-error", f"{exact_err:.6f}", "EXACT", "closed-form"])
             # one-bit messages, uniform: only message 1 can fail
             exact = 1.0 - exact_err / 2
             draw_message = lambda child: str(child.integers(2))

@@ -120,7 +120,8 @@ class _StateFamily:
 
     Subclasses supply only the amplitudes of one state. `gen` checks the
     widths and caches every state it builds, emptying the cache once it holds
-    more than 8192.
+    more than 8192. `oracle_isometry` builds its blocks through `gen` unless a
+    family writes the whole state itself (`ToyPrfspd`).
     """
 
     def __init__(self, params):
@@ -146,6 +147,9 @@ class _StateFamily:
         """sum_x a_x |x>  ->  sum_x a_x |x>|psi_{k,x}>, input register on d qubits."""
         if state.qubit_count != self.params.input_width:
             raise sim.DimensionMismatchError("input register width does not match d")
+        return self._isometry(key, state)
+
+    def _isometry(self, key: str, state: PureState) -> PureState:
         return sim.controlled_state(state, self.params.output_qubits,
                                     lambda x: self.gen(key, x).amplitudes)
 
@@ -245,14 +249,21 @@ class ToyPrfspd(_StateFamily):
     def _tag(self, key: str, x: str, y: str) -> str:
         return self._prf(key, x + y, self.params.tag_width)
 
-    def _amplitudes(self, key, x):
+    def _cells(self, key: str, x: str) -> list:
+        """Basis indices of the 2^m terms |y>|f_k(x||y)> of |psi_{k,x}>, one per y."""
         m, t = self.params.measured_width, self.params.tag_width
-        amps = np.zeros(1 << (m + t), dtype=np.complex128)
-        scale = (1 << m) ** -0.5
-        for yv in range(1 << m):
-            zv = bits_to_int(self._tag(key, x, int_to_bits(yv, m)))
-            amps[(yv << t) | zv] = scale
+        return [(yv << t) | bits_to_int(self._tag(key, x, int_to_bits(yv, m)))
+                for yv in range(1 << m)]
+
+    def _amplitudes(self, key, x):
+        amps = np.zeros(1 << self.params.output_qubits, dtype=np.complex128)
+        amps[self._cells(key, x)] = (1 << self.params.measured_width) ** -0.5
         return amps
+
+    def _isometry(self, key, state):
+        # the graph of (x, y) -> f_k(x||y), written from one table: no `gen`, nothing cached
+        return sim.graph_state(state, self.params.output_qubits, lambda x: self._cells(key, x),
+                               (1 << self.params.measured_width) ** -0.5)
 
     def delete(self, state: PureState, rng: np.random.Generator) -> PrfspdProof:
         if state.qubit_count != self.params.output_qubits:

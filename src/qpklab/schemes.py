@@ -3,10 +3,13 @@
 Every scheme follows the four-algorithm shape: classical key generation, pure
 quantum public-key generation (repeated calls yield the identical state),
 encryption returning a recycled key alongside the ciphertext, and decryption
-from the classical key. Every public key holds one pure state, a
-`sim.controlled_state`: the OWF key directly, the PRFSPD slot and the PRFS key
-through their state family's `oracle_isometry`. Every quantum object is pure;
-a mixed state is an ensemble that is sampled.
+from the classical key. Every public key holds one pure state
+sum_x 2^{-lambda/2} |x>|phi_x>. The OWF key and the PRFSPD slot state are
+graph states of the PRF, written by `sim.graph_state` from one table of PRF
+values per key (the slot through `ToyPrfspd.oracle_isometry`, which neither
+calls nor fills the family's `gen` cache); the PRFS key is assembled from
+`PhasePrfs.gen` states by `sim.controlled_state`. Every quantum object is
+pure; a mixed state is an ensemble that is sampled.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
   the outcome, and symmetric-encrypts under the measured PRF value. Classical
@@ -165,13 +168,8 @@ class OwfScheme(QpkeScheme):
 
     def _public_state(self, dk: DecryptionKey) -> sim.PureState:
         n = self.prf_output_width
-
-        def image(x):
-            vec = np.zeros(1 << n, dtype=np.complex128)
-            vec[bits_to_int(check_bits(self.prf(dk.bits, x, n), n))] = 1.0
-            return vec
-
-        return sim.controlled_state(sim.uniform_superposition(self.security_param), n, image)
+        return sim.graph_state(sim.uniform_superposition(self.security_param), n,
+                               lambda x: [bits_to_int(check_bits(self.prf(dk.bits, x, n), n))])
 
     def _ciphertext_for(self, y: str, x: str, message: str, rng) -> Scheme1Ciphertext:
         # shared by encrypt (post-measurement) and exhaustive correctness runs
@@ -189,6 +187,7 @@ class OwfScheme(QpkeScheme):
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme1Ciphertext)
         _check_width("x", ct.x, self.security_param)
+        _check_width("nonce", ct.body.nonce, self.prf_output_width)
         y = self.prf(dk.bits, ct.x, self.prf_output_width)
         return self.ske.decrypt(y, ct.body)
 
@@ -250,6 +249,7 @@ class PrfspdScheme(QpkeScheme):
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme2Ciphertext)
         lam = self.security_param
+        _check_width("nonce", ct.body.nonce, lam)
         if len(ct.slots) != lam:
             raise SchemeError(f"ciphertext has {len(ct.slots)} slots, expected {lam}")
         for x, y_tilde in ct.slots:

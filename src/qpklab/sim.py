@@ -13,7 +13,10 @@ index. A register of width w at offset o holds the bits (index >> o) & (2^w-1).
 Every public key in the package is a controlled state sum_x a_x |x>|phi_x>:
 the control register x sits on the high wires and the block phi_x on the
 wires below it, so the block of x is the contiguous slice of amplitudes
-[x * 2^b, (x + 1) * 2^b) for a b-qubit block. `controlled_state` builds one;
+[x * 2^b, (x + 1) * 2^b) for a b-qubit block. `controlled_state` builds one
+block by block. `graph_state` builds the graph of a classical function,
+sum_x a_x |x> sum_y c |y>|f(x||y)>, from one table of function values in a
+single write; the OWF key and the PRFSPD slot state are such graph states.
 `measure_control` samples x and renormalizes that slice alone, with no
 full-size post-measurement vector.
 """
@@ -149,6 +152,27 @@ def controlled_state(control: PureState, block_qubits: int, block_of) -> PureSta
     return PureState(q, amps.reshape(-1))
 
 
+def graph_state(control: PureState, block_qubits: int, cells_of,
+                block_amplitude: float = 1.0) -> PureState:
+    """sum_x a_x |x> sum_{j in cells_of(x)} c |j> for control = sum_x a_x |x>, control high.
+
+    The graph of a classical function: `cells_of` maps a control value x (a
+    bitstring) to the block's basis indices that carry amplitude
+    c = `block_amplitude`, the same number of them for every x, and is called
+    only where a_x != 0. Each amplitude is the product a_x * c that
+    `controlled_state` gives for the same block, but the whole table of
+    indices is written at once and no block is built as a state.
+    """
+    q = control.qubit_count + block_qubits
+    check_capacity(q, "graph state")
+    rows = np.flatnonzero(control.amplitudes)
+    cells = np.array([cells_of(int_to_bits(xv, control.qubit_count)) for xv in rows.tolist()],
+                     dtype=np.int64)
+    amps = np.zeros((control.dim, 1 << block_qubits), dtype=np.complex128)
+    amps[rows[:, None], cells] = control.amplitudes[rows, None] * block_amplitude
+    return PureState(q, amps.reshape(-1))
+
+
 def apply_function_oracle(state, f, in_range: WireRange, out_range: WireRange) -> PureState:
     """XOR-oracle for a classical function: |x>|z> -> |x>|z XOR f(x)>.
 
@@ -204,8 +228,10 @@ def _register_block(vec: np.ndarray, wires: WireRange, value: int) -> np.ndarray
 def born_probabilities(state: PureState, wires: WireRange) -> np.ndarray:
     """Marginal outcome probabilities for measuring `wires` in the computational basis."""
     wires.check_fits(state.qubit_count)
-    weights = np.abs(state.amplitudes) ** 2
-    return _register_view(weights, wires).sum(axis=(0, 2))
+    view = _register_view(np.abs(state.amplitudes) ** 2, wires)
+    # a sum over a size-1 axis copies the array the slow way; skip those axes
+    spread = tuple(axis for axis in (0, 2) if view.shape[axis] > 1)
+    return view.sum(axis=spread).reshape(-1) if spread else view.reshape(-1)
 
 
 def project(state: PureState, wires: WireRange, outcome: str):
@@ -225,11 +251,19 @@ def project(state: PureState, wires: WireRange, outcome: str):
 
 
 def sample_outcome(state: PureState, wires: WireRange, rng: np.random.Generator) -> str:
-    """Born-rule outcome of measuring `wires`, for callers that discard the post-state."""
+    """Born-rule outcome of measuring `wires`, for callers that discard the post-state.
+
+    Draws what `rng.choice(len(p), p=p)` draws, one `rng.random()` looked up
+    in the normalised cumulative sum, without that call's validation passes.
+    The steps run in place: each fresh 2^q-entry temporary costs page faults.
+    """
     probs = born_probabilities(state, wires)
     total = probs.sum()
     assert abs(total - 1.0) < 1e-8
-    return int_to_bits(int(rng.choice(len(probs), p=probs / total)), wires.width)
+    probs /= total
+    cdf = np.cumsum(probs, out=probs)
+    cdf /= cdf[-1]
+    return int_to_bits(int(cdf.searchsorted(rng.random(), side="right")), wires.width)
 
 
 def measure_computational(state: PureState, wires: WireRange, rng: np.random.Generator):

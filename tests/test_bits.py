@@ -68,3 +68,54 @@ def test_pack_unpack_round_trip(s):
 def test_unpack_short_buffer():
     with pytest.raises(ValueError):
         unpack_bits(b"\x00", 9)
+
+
+# --- the char-wise helpers the integer-native ones replaced, kept as references
+
+
+def reference_xor_bits(a, b):
+    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+def reference_random_bits(width, rng):
+    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=width))
+
+
+def reference_pack_bits(s):
+    padded = s + "0" * (-len(s) % 8)
+    return bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
+
+
+def reference_unpack_bits(data, width):
+    return "".join(format(byte, "08b") for byte in data)[:width]
+
+
+def equal_length_pair(n):
+    same_width = st.text(alphabet="01", min_size=n, max_size=n)
+    return st.tuples(same_width, same_width)
+
+
+@given(st.integers(0, 300).flatmap(equal_length_pair))
+def test_xor_matches_reference(pair):
+    assert xor_bits(*pair) == reference_xor_bits(*pair)
+
+
+@given(st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_random_bits_match_reference_and_draw_the_same_numbers(width, seed):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert random_bits(width, rng) == reference_random_bits(width, rng_ref)
+    assert rng.random() == rng_ref.random()
+
+
+@given(st.text(alphabet="01", min_size=0, max_size=300))
+def test_pack_matches_reference(s):
+    assert pack_bits(s) == reference_pack_bits(s)
+
+
+@given(st.binary(max_size=40), st.integers(0, 320))
+def test_unpack_matches_reference(data, width):
+    if width > 8 * len(data):
+        with pytest.raises(ValueError):
+            unpack_bits(data, width)
+    else:
+        assert unpack_bits(data, width) == reference_unpack_bits(data, width)

@@ -1,4 +1,5 @@
-"""`sim.controlled_state` and `sim.measure_control` against the constructions they replace.
+"""`sim.controlled_state`, `sim.graph_state` and `sim.measure_control` against the
+constructions they replace.
 
 The reference builders below are the earlier per-scheme constructions of the
 public keys and of the measure-then-slice step. The shared routines must
@@ -136,6 +137,43 @@ def test_controlled_state_capacity_error_before_allocation(monkeypatch):
     calls = []
     with pytest.raises(sim.CapacityError):
         sim.controlled_state(control, 2, calls.append)
+    assert calls == []
+
+
+def counting_prf(calls):
+    def prf(key, x, width):
+        calls.append(x)
+        return prf_eval(key, x, width)
+    return prf
+
+
+@pytest.mark.parametrize("lam,n", [(3, 2), (6, 4)])
+def test_owf_key_calls_the_prf_once_per_input(lam, n):
+    calls = []
+    OwfScheme(lam, prf_output_width=n, prf=counting_prf(calls)).qpk_gen(DecryptionKey("1" * lam))
+    assert sorted(calls) == [int_to_bits(xv, lam) for xv in range(1 << lam)]
+
+
+@pytest.mark.parametrize("lam,m,t", [(3, 1, 2), (4, 2, 1), (8, 1, 6)])
+def test_prfspd_slot_calls_the_prf_once_per_point_and_caches_nothing(lam, m, t):
+    calls = []
+    family = ToyPrfspd(PrfspdParams(lam, lam, m, t), prf=counting_prf(calls))
+    PrfspdScheme(lam, family).qpk_gen(DecryptionKey("0" * lam))
+    assert sorted(calls) == [int_to_bits(v, lam + m) for v in range(1 << (lam + m))]
+    assert family._cache == {}
+
+
+def test_graph_state_capacity_error_before_allocation(monkeypatch):
+    control = sim.uniform_superposition(3)
+    monkeypatch.setenv("QPKLAB_QMAX", "4")
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the capacity check")
+
+    monkeypatch.setattr(sim.np, "zeros", no_allocation)
+    calls = []
+    with pytest.raises(sim.CapacityError):
+        sim.graph_state(control, 2, calls.append)
     assert calls == []
 
 

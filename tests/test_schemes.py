@@ -298,6 +298,27 @@ def test_prfspd_decrypt_rejects_malformed_ciphertexts(rng):
             scheme.decrypt(dk, malformed)
 
 
+def test_owf_decrypt_rejects_nonce_of_wrong_width(rng):
+    scheme = OwfScheme(3, prf_output_width=5)
+    dk = scheme.gen(rng)
+    _, ct = scheme.encrypt(scheme.qpk_gen(dk), "0110", rng)
+    assert len(ct.body.nonce) == 5 and scheme.decrypt(dk, ct) == "0110"
+    for nonce in (ct.body.nonce[:3], ct.body.nonce + "0", ""):
+        with pytest.raises(SchemeError, match="nonce"):
+            scheme.decrypt(dk, replace(ct, body=SkeCiphertext(nonce, ct.body.body)))
+
+
+def test_prfspd_decrypt_rejects_nonce_of_wrong_width(rng):
+    scheme = make_prfspd_scheme(3, 1, 3)
+    dk = scheme.gen(rng)
+    _, ct = scheme.encrypt(scheme.qpk_gen(dk), "0111", rng)
+    assert len(ct.body.nonce) == 3
+    scheme.decrypt(dk, ct)  # well-formed: no error
+    for nonce in (ct.body.nonce[:2], ct.body.nonce + "1", ""):
+        with pytest.raises(SchemeError, match="nonce"):
+            scheme.decrypt(dk, replace(ct, body=SkeCiphertext(nonce, ct.body.body)))
+
+
 # --- wire format ------------------------------------------------------------
 
 
@@ -390,3 +411,27 @@ def test_deserialize_rejects_nonzero_padding_bits(make_scheme, rng):
         corrupted[index] |= 1 << bit
         with pytest.raises(SchemeError):
             deserialize_ciphertext(bytes(corrupted))
+
+
+def _valid_ciphertext_bytes(make_scheme):
+    rng = np.random.default_rng(9)
+    scheme = make_scheme()
+    _, ct = scheme.encrypt(scheme.qpk_gen(scheme.gen(rng)), "0111", rng)
+    return serialize_ciphertext(ct)
+
+
+VALID_WIRE = [_valid_ciphertext_bytes(lambda: OwfScheme(3)),
+              _valid_ciphertext_bytes(lambda: make_prfspd_scheme(3, 1, 3))]
+
+
+@given(st.sampled_from(VALID_WIRE), st.integers(0, 10**6), st.integers(0, 255))
+@settings(max_examples=300, deadline=None)
+def test_single_byte_mutation_is_rejected_or_canonical(data, position, value):
+    mutated = bytearray(data)
+    mutated[position % len(data)] = value
+    mutated = bytes(mutated)
+    try:
+        ct = deserialize_ciphertext(mutated)
+    except SchemeError:
+        return
+    assert serialize_ciphertext(ct) == mutated

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qpklab import sim
 from qpklab.bits import bits_to_int, int_to_bits
 from qpklab.primitives import prf_eval
+from qpklab.schemes import DecryptionKey, OwfScheme
 from qpklab.sim import (
     DimensionMismatchError,
     EmptyProjectionError,
@@ -181,6 +182,21 @@ def test_sample_outcome_draws_what_measurement_draws():
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert sim.sample_outcome(state, wires, rng_a) == \
                 sim.measure_computational(state, wires, rng_b)[0]
+            assert rng_a.random() == rng_b.random()
+
+
+def test_sample_outcome_matches_rng_choice_over_seeds():
+    owf_key = OwfScheme(8).qpk_gen(DecryptionKey("10110010")).state
+    haar = sim.haar_random_state(10, np.random.default_rng(4))
+    cases = [(owf_key, owf_key.full_range()), (owf_key, WireRange(8, 8)),
+             (haar, haar.full_range()), (haar, WireRange(3, 4))]
+    for state, wires in cases:
+        probs = sim.born_probabilities(state, wires)
+        p = probs / probs.sum()
+        for seed in range(1000):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sim.sample_outcome(state, wires, rng_a) == \
+                int_to_bits(int(rng_b.choice(len(p), p=p)), wires.width)
             assert rng_a.random() == rng_b.random()
 
 
@@ -410,8 +426,11 @@ def test_oracle_preserves_norm(state):
 def test_distance_fidelity_identity(a, b):
     if a.qubit_count != b.qubit_count:
         return
-    td = sim.trace_distance(a, b)
-    assert abs(td**2 + sim.fidelity(a, b) - 1.0) < 1e-10
+    rho_a, rho_b = (np.outer(s.amplitudes, s.amplitudes.conj()) for s in (a, b))
+    half_trace_norm = 0.5 * np.abs(np.linalg.eigvalsh(rho_a - rho_b)).sum()
+    # compared squared: sqrt(1 - F) near F = 1 is only good to sqrt(eps) ~ 1.5e-8
+    assert abs(sim.trace_distance(a, b) ** 2 - half_trace_norm**2) < 1e-9
+    assert abs(half_trace_norm**2 + sim.fidelity(a, b) - 1.0) < 1e-9
 
 
 def test_born_consistency(rng):
