@@ -115,8 +115,8 @@ class StateComparisonAdversary(AdversaryStrategy):
         return "0", "1"
 
     def receive_challenge(self, ct: Scheme3Ciphertext):
-        _x, reference = sim.measure_control(self.copy, self.scheme.prfs.params.input_width,
-                                            self.rng)
+        _x, reference = next(sim.measure_control(self.copy, self.scheme.prfs.params.input_width,
+                                                 self.rng))
         if self.amplified:
             self.accepted, _ = sim.project_onto(ct.payload, reference, self.rng)
         else:

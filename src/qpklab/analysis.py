@@ -232,8 +232,11 @@ def _block_distance(gram: np.ndarray, weights: np.ndarray) -> float:
     S = diag(weights) holds the signed weights of V's columns. From `eigh`,
     G = L L^dagger with L of full column rank (eigenvalues below _RANK_TOL
     times the largest dropped); V S V^dagger then has the nonzero spectrum
-    of L^dagger S L.
+    of L^dagger S L. A block with no imaginary part (phase states and one-hot
+    keys have real amplitudes) is solved in real arithmetic, which is faster.
     """
+    if not gram.imag.any():
+        gram = gram.real
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > _RANK_TOL * vals[-1]
     factor = vecs[:, keep] * np.sqrt(vals[keep])

@@ -6,12 +6,19 @@ symmetric cipher is the textbook nonce + PRF-pad XOR scheme, the function-like
 state generator produces binary phase states, and the proof-of-destruction
 family is a deliberately simple instantiation that satisfies the syntax and
 correctness contracts exactly while staying enumerable at tiny widths.
+
+`prf_eval` maps one bitstring to one bitstring; `prf_table` gives the same
+values for a whole integer array of inputs at once, with the key checked and
+its hash prefix computed once. The graph-state keys (the OWF key and the
+PRFSPD slot state) are written from one such table per key; an injected PRF
+callable is still called once per point and its outputs checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,14 +27,26 @@ from .bits import bits_to_int, check_bits, int_to_bits, random_bits, xor_bits
 from .sim import PureState
 
 
+def _sha_int(prefix, label: str, want: int) -> int:
+    """First `want` bits of the counter-mode SHA-256 stream of `label`, as an integer.
+
+    `prefix` is a hash object that has already absorbed what precedes the
+    label; block i of the stream is the digest of prefix + label + ":<i>".
+    """
+    blocks = -(-want // 256)
+    stream = b""
+    for counter in range(blocks):
+        block = prefix.copy()
+        block.update(f"{label}:{counter}".encode())
+        stream += block.digest()
+    return int.from_bytes(stream, "big") >> (256 * blocks - want)
+
+
 def _sha_bits(label: str, want: int) -> str:
     """First `want` bits of the counter-mode SHA-256 stream for `label`."""
     if want <= 0:
         return ""
-    blocks = -(-want // 256)
-    stream = b"".join(hashlib.sha256(f"{label}:{counter}".encode()).digest()
-                      for counter in range(blocks))
-    return format(int.from_bytes(stream, "big") >> (256 * blocks - want), f"0{want}b")
+    return format(_sha_int(hashlib.sha256(), label, want), f"0{want}b")
 
 
 def prf_eval(key: str, x: str, out_width: int) -> str:
@@ -40,6 +59,35 @@ def prf_eval(key: str, x: str, out_width: int) -> str:
     check_bits(key)
     check_bits(x)
     return _sha_bits(f"qpklab-prf|{key}|{x}", out_width)
+
+
+def prf_table(key: str, inputs, in_width: int, out_width: int, prf=prf_eval) -> np.ndarray:
+    """`prf_eval` at every input of an integer array, as integers of the same shape.
+
+    Input v stands for the `in_width`-bit string of v. The key is checked and
+    the "qpklab-prf|<key>|" prefix hashed once; each point then costs one
+    SHA-256 digest per 256 output bits, with the normative labels of
+    `prf_eval`. An injected `prf` (any callable other than `prf_eval` as this
+    module names it at call time) is called once per point instead, and each
+    output must be an `out_width`-bit string. The table is int64, or object
+    for outputs wider than 63 bits.
+    """
+    check_bits(key)
+    if in_width < 0 or out_width < 0:
+        raise ValueError(f"PRF widths must be nonnegative, got in {in_width}, out {out_width}")
+    inputs = np.asarray(inputs, dtype=np.int64)
+    if inputs.size and (inputs.min() < 0 or int(inputs.max()) >> in_width):
+        raise ValueError(f"PRF input does not fit in {in_width} bits")
+    dtype = np.int64 if out_width <= 63 else object
+    if prf is not prf_eval:
+        out = [bits_to_int(check_bits(prf(key, int_to_bits(v, in_width), out_width), out_width))
+               for v in inputs.ravel().tolist()]
+        return np.array(out, dtype=dtype).reshape(inputs.shape)
+    keyed = hashlib.sha256(f"qpklab-prf|{key}|".encode())
+    spec = f"0{in_width}b"
+    out = [_sha_int(keyed, format(v, spec) if in_width else "", out_width)
+           for v in inputs.ravel().tolist()]
+    return np.array(out, dtype=dtype).reshape(inputs.shape)
 
 
 def _keystream(key: str, nonce: str, width: int) -> str:
@@ -219,6 +267,12 @@ class PrfspdParams:
     measured_width: int
     tag_width: int
 
+    def __post_init__(self):
+        if self.measured_width < 0:
+            raise ValueError(f"measured width must be nonnegative, got {self.measured_width}")
+        if self.tag_width < 1:
+            raise ValueError(f"tag width must be at least one bit, got {self.tag_width}")
+
     @property
     def output_qubits(self) -> int:
         return self.measured_width + self.tag_width
@@ -249,20 +303,25 @@ class ToyPrfspd(_StateFamily):
     def _tag(self, key: str, x: str, y: str) -> str:
         return self._prf(key, x + y, self.params.tag_width)
 
-    def _cells(self, key: str, x: str) -> list:
-        """Basis indices of the 2^m terms |y>|f_k(x||y)> of |psi_{k,x}>, one per y."""
-        m, t = self.params.measured_width, self.params.tag_width
-        return [(yv << t) | bits_to_int(self._tag(key, x, int_to_bits(yv, m)))
-                for yv in range(1 << m)]
+    def _cells(self, key: str, xs: np.ndarray) -> np.ndarray:
+        """Basis indices of the terms |y>|f_k(x||y)> of |psi_{k,x}>: one row of 2^m per x.
+
+        `xs` holds input values; the tags of all of them come from one PRF table.
+        """
+        d, m, t = self.params.input_width, self.params.measured_width, self.params.tag_width
+        ys = np.arange(1 << m)
+        tags = prf_table(key, (xs[:, None] << m) | ys, d + m, t, self._prf)
+        return (ys << t) | tags
 
     def _amplitudes(self, key, x):
         amps = np.zeros(1 << self.params.output_qubits, dtype=np.complex128)
-        amps[self._cells(key, x)] = (1 << self.params.measured_width) ** -0.5
+        cells = self._cells(key, np.array([bits_to_int(x)]))
+        amps[cells] = (1 << self.params.measured_width) ** -0.5
         return amps
 
     def _isometry(self, key, state):
         # the graph of (x, y) -> f_k(x||y), written from one table: no `gen`, nothing cached
-        return sim.graph_state(state, self.params.output_qubits, lambda x: self._cells(key, x),
+        return sim.graph_state(state, self.params.output_qubits, partial(self._cells, key),
                                (1 << self.params.measured_width) ** -0.5)
 
     def delete(self, state: PureState, rng: np.random.Generator) -> PrfspdProof:

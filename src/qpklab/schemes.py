@@ -5,11 +5,13 @@ quantum public-key generation (repeated calls yield the identical state),
 encryption returning a recycled key alongside the ciphertext, and decryption
 from the classical key. Every public key holds one pure state
 sum_x 2^{-lambda/2} |x>|phi_x>. The OWF key and the PRFSPD slot state are
-graph states of the PRF, written by `sim.graph_state` from one table of PRF
-values per key (the slot through `ToyPrfspd.oracle_isometry`, which neither
-calls nor fills the family's `gen` cache); the PRFS key is assembled from
-`PhasePrfs.gen` states by `sim.controlled_state`. Every quantum object is
-pure; a mixed state is an ensemble that is sampled.
+graph states of the PRF, written by `sim.graph_state` from one
+`primitives.prf_table` per key (the slot through `ToyPrfspd.oracle_isometry`,
+which neither calls nor fills the family's `gen` cache); the PRFS key is
+assembled from `PhasePrfs.gen` states by `sim.controlled_state`. The lambda
+PRFSPD slots are measured from one control marginal by
+`sim.measure_control(..., copies=lambda)`. Every quantum object is pure; a
+mixed state is an ensemble that is sampled.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
   the outcome, and symmetric-encrypts under the measured PRF value. Classical
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import sim
-from .bits import bits_to_int, check_bits, int_to_bits, pack_bits, random_bits, unpack_bits
+from .bits import check_bits, int_to_bits, pack_bits, random_bits, unpack_bits
 from .primitives import (
     PhasePrfs,
     PrfspdProof,
@@ -39,6 +42,7 @@ from .primitives import (
     StreamSke,
     ToyPrfspd,
     prf_eval,
+    prf_table,
 )
 
 
@@ -162,14 +166,16 @@ class OwfScheme(QpkeScheme):
     def __init__(self, security_param, prf_output_width=None, prf=prf_eval, ske=None):
         super().__init__(security_param)
         self.prf_output_width = prf_output_width or security_param
+        if self.prf_output_width < 0:
+            raise SchemeError(f"PRF output width {self.prf_output_width} is negative")
         self.prf = prf
         self.ske = ske or StreamSke()
         sim.check_capacity(security_param + self.prf_output_width, "public key")
 
     def _public_state(self, dk: DecryptionKey) -> sim.PureState:
-        n = self.prf_output_width
-        return sim.graph_state(sim.uniform_superposition(self.security_param), n,
-                               lambda x: [bits_to_int(check_bits(self.prf(dk.bits, x, n), n))])
+        lam, n = self.security_param, self.prf_output_width
+        return sim.graph_state(sim.uniform_superposition(lam), n,
+                               partial(prf_table, dk.bits, in_width=lam, out_width=n, prf=self.prf))
 
     def _ciphertext_for(self, y: str, x: str, message: str, rng) -> Scheme1Ciphertext:
         # shared by encrypt (post-measurement) and exhaustive correctness runs
@@ -213,11 +219,10 @@ class PrfspdScheme(QpkeScheme):
 
     def _measure_slots(self, qpk: QuantumPublicKey, rng):
         """Measure lambda copies of the slot state and delete each residual state."""
-        residue = []
-        for _ in range(self.security_param):
-            x, block = sim.measure_control(qpk.state, self.security_param, rng)
-            residue.append((x, self.prfspd.delete(block, rng).bits))
-        qpk.residue = tuple(residue)
+        lam = self.security_param
+        slots = sim.measure_control(qpk.state, lam, rng, copies=lam)
+        # each delete draws from rng between two slot draws, as lam single measurements would
+        qpk.residue = tuple((x, self.prfspd.delete(block, rng).bits) for x, block in slots)
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
         self.check_message(message)
@@ -294,7 +299,7 @@ class PrfsScheme(QpkeScheme):
         if qpk.consumed:
             raise KeyConsumedError("public key already used; the scheme is single-shot")
         n = self.prfs.params.output_qubits
-        x, block = sim.measure_control(qpk.state, self.prfs.params.input_width, rng)
+        x, block = next(sim.measure_control(qpk.state, self.prfs.params.input_width, rng))
         payload = block if message == "0" else sim.basis_state(n, random_bits(n, rng))
         qpk.consumed = True
         return qpk, Scheme3Ciphertext(x, payload)

@@ -15,10 +15,11 @@ the control register x sits on the high wires and the block phi_x on the
 wires below it, so the block of x is the contiguous slice of amplitudes
 [x * 2^b, (x + 1) * 2^b) for a b-qubit block. `controlled_state` builds one
 block by block. `graph_state` builds the graph of a classical function,
-sum_x a_x |x> sum_y c |y>|f(x||y)>, from one table of function values in a
-single write; the OWF key and the PRFSPD slot state are such graph states.
-`measure_control` samples x and renormalizes that slice alone, with no
-full-size post-measurement vector.
+sum_x a_x |x> sum_y c |y>|f(x||y)>, from one table of function values that
+its caller computes in one call for all x; the OWF key and the PRFSPD slot
+state are such graph states. `measure_control` measures x on any number of
+copies of one controlled state from one control marginal, and renormalizes
+each outcome's slice alone, with no full-size post-measurement vector.
 """
 
 from __future__ import annotations
@@ -154,20 +155,21 @@ def controlled_state(control: PureState, block_qubits: int, block_of) -> PureSta
 
 def graph_state(control: PureState, block_qubits: int, cells_of,
                 block_amplitude: float = 1.0) -> PureState:
-    """sum_x a_x |x> sum_{j in cells_of(x)} c |j> for control = sum_x a_x |x>, control high.
+    """sum_x a_x |x> sum_{j in cells(x)} c |j> for control = sum_x a_x |x>, control high.
 
-    The graph of a classical function: `cells_of` maps a control value x (a
-    bitstring) to the block's basis indices that carry amplitude
-    c = `block_amplitude`, the same number of them for every x, and is called
-    only where a_x != 0. Each amplitude is the product a_x * c that
-    `controlled_state` gives for the same block, but the whole table of
-    indices is written at once and no block is built as a state.
+    The graph of a classical function. `cells_of` maps the integer array of
+    the control values x with a_x != 0 to the block's basis indices that
+    carry amplitude c = `block_amplitude`: one row of indices per x (or one
+    index per x), the same number for every x. It is called once, after the
+    capacity check, so the caller can build its whole table in one pass. Each
+    amplitude is the product a_x * c that `controlled_state` gives for the
+    same block, but the table is written at once and no block is built as a
+    state.
     """
     q = control.qubit_count + block_qubits
     check_capacity(q, "graph state")
     rows = np.flatnonzero(control.amplitudes)
-    cells = np.array([cells_of(int_to_bits(xv, control.qubit_count)) for xv in rows.tolist()],
-                     dtype=np.int64)
+    cells = np.asarray(cells_of(rows), dtype=np.int64).reshape(len(rows), -1)
     amps = np.zeros((control.dim, 1 << block_qubits), dtype=np.complex128)
     amps[rows[:, None], cells] = control.amplitudes[rows, None] * block_amplitude
     return PureState(q, amps.reshape(-1))
@@ -250,11 +252,11 @@ def project(state: PureState, wires: WireRange, outcome: str):
     return prob, PureState(state.qubit_count, amps / np.sqrt(prob))
 
 
-def sample_outcome(state: PureState, wires: WireRange, rng: np.random.Generator) -> str:
-    """Born-rule outcome of measuring `wires`, for callers that discard the post-state.
+def _born_cdf(state: PureState, wires: WireRange) -> np.ndarray:
+    """Normalised cumulative sum of the Born probabilities of `wires`.
 
-    Draws what `rng.choice(len(p), p=p)` draws, one `rng.random()` looked up
-    in the normalised cumulative sum, without that call's validation passes.
+    `searchsorted(rng.random(), side="right")` on it draws what
+    `rng.choice(len(p), p=p)` draws, without that call's validation passes.
     The steps run in place: each fresh 2^q-entry temporary costs page faults.
     """
     probs = born_probabilities(state, wires)
@@ -263,6 +265,16 @@ def sample_outcome(state: PureState, wires: WireRange, rng: np.random.Generator)
     probs /= total
     cdf = np.cumsum(probs, out=probs)
     cdf /= cdf[-1]
+    return cdf
+
+
+def sample_outcome(state: PureState, wires: WireRange, rng: np.random.Generator) -> str:
+    """Born-rule outcome of measuring `wires`, for callers that discard the post-state.
+
+    One `rng.random()` looked up in the cumulative distribution: the draw of
+    `rng.choice(len(p), p=p)`.
+    """
+    cdf = _born_cdf(state, wires)
     return int_to_bits(int(cdf.searchsorted(rng.random(), side="right")), wires.width)
 
 
@@ -274,17 +286,26 @@ def measure_computational(state: PureState, wires: WireRange, rng: np.random.Gen
     return outcome, post
 
 
-def measure_control(state: PureState, control_width: int, rng: np.random.Generator):
-    """Measure the control register of a controlled state; returns (x, block).
+def measure_control(state: PureState, control_width: int, rng: np.random.Generator,
+                    copies: int = 1):
+    """Measure the control register of `copies` copies of a controlled state.
 
-    The block is the renormalized state left on the wires below the control.
+    Yields (x, block) once per copy, lazily: each copy draws one
+    `rng.random()` when it is requested, so a caller may interleave its own
+    draws and still get what `copies` single-copy measurements would give.
+    The control marginal and its CDF are computed once, for all copies. The
+    block is the renormalized state left on the wires below the control,
+    sliced out of the amplitudes with no full-size post-measurement state.
+    Single-copy callers take `next(...)`.
     """
     wires = WireRange(state.qubit_count - control_width, control_width)
-    x = sample_outcome(state, wires, rng)
-    block = _register_block(state.amplitudes, wires, bits_to_int(x))
-    prob = float(np.vdot(block, block).real)
-    assert prob > ATOL_EXACT**2, "sampled outcome has zero projection"
-    return x, PureState(wires.offset, block / np.sqrt(prob))
+    cdf = _born_cdf(state, wires)
+    for _ in range(copies):
+        xv = int(cdf.searchsorted(rng.random(), side="right"))
+        block = _register_block(state.amplitudes, wires, xv)
+        prob = float(np.vdot(block, block).real)
+        assert prob > ATOL_EXACT**2, "sampled outcome has zero projection"
+        yield int_to_bits(xv, control_width), PureState(wires.offset, block / np.sqrt(prob))
 
 
 def puncture(state: PureState, marked: str, wires: WireRange) -> PureState:

@@ -401,6 +401,50 @@ def test_helstrom_bound_on_density_pair():
     assert abs(value - 0.5) < 1e-12
 
 
+def _complex_block_distance(gram, weights):
+    """`_block_distance` solved in complex arithmetic for every block: the reference
+    for the real solve it now uses on blocks with no imaginary part."""
+    vals, vecs = np.linalg.eigh(gram.astype(np.complex128))
+    keep = vals > analysis._RANK_TOL * vals[-1]
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    eigs = np.linalg.eigvalsh((factor.conj().T * weights) @ factor)
+    return float(0.5 * np.abs(eigs).sum())
+
+
+@pytest.mark.parametrize("scheme,lam,copies,messages,n", [
+    ("prfs", 3, 1, ("0", "1"), 2),
+    ("prfs", 2, 3, ("0", "1"), 2),
+    ("prfs", 4, 1, ("0", "1"), 1),
+    ("owf", 2, 1, ("00", "11"), 2),
+    ("owf", 2, 2, ("01", "10"), 2),
+    ("owf", 3, 1, ("0", "1"), 1),
+])
+def test_real_gram_blocks_match_the_complex_solve(monkeypatch, scheme, lam, copies, messages, n):
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        dtypes.append(matrix.dtype)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    value = analysis.optimal_advantage(scheme, lam, copies, messages, output_qubits=n).value
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    monkeypatch.setattr(analysis, "_block_distance", _complex_block_distance)
+    reference = analysis.optimal_advantage(scheme, lam, copies, messages, output_qubits=n).value
+    assert abs(value - reference) <= 1e-15
+
+
+def test_complex_gram_block_keeps_the_complex_solve():
+    rng = np.random.default_rng(4)
+    vectors = np.array([sim.haar_random_state(3, rng).amplitudes for _ in range(5)])
+    gram = vectors.conj() @ vectors.T
+    weights = np.array([0.3, 0.2, -0.25, -0.15, -0.1])
+    assert gram.imag.any()
+    assert abs(analysis._block_distance(gram, weights)
+               - _complex_block_distance(gram, weights)) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "lam,n,copies",
     [(lam, n, copies) for lam in (1, 2, 3) for n in (1, 2) for copies in (0, 1)]

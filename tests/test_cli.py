@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qpklab
-from qpklab import cli
+from qpklab import cli, schemes
 from qpklab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -59,6 +59,24 @@ def test_capacity_is_config_error(capsys):
     code, _out, err = run_cli(capsys, "correctness", "--scheme", "owf",
                               "--lambda", "11", "--n", "11", "--seed", "1")
     assert code == EXIT_CONFIG
+
+
+def test_negative_owf_width_is_config_error_before_prf_work(capsys, monkeypatch):
+    def no_prf(*args, **kwargs):
+        raise AssertionError("PRF evaluated before the width check")
+
+    monkeypatch.setattr(schemes, "prf_table", no_prf)
+    code, _out, err = run_cli(capsys, "game", "--scheme", "owf", "--lambda", "6",
+                              "--n", "-3", "--seed", "1")
+    assert code == EXIT_CONFIG
+    assert "PRF output width -3 is negative" in err
+
+
+def test_negative_measured_width_is_config_error(capsys):
+    code, _out, err = run_cli(capsys, "correctness", "--scheme", "prfspd", "--m", "-1",
+                              "--seed", "1")
+    assert code == EXIT_CONFIG
+    assert "measured width must be nonnegative, got -1" in err
 
 
 def test_helstrom_capacity_error(capsys):

@@ -36,6 +36,29 @@ def reference_prfspd_slot(family, dk_bits, lam):
     return PureState(lam + n, amps)
 
 
+def reference_prfspd_slot_per_point(dk_bits, lam, m, t):
+    """The slot state written one `prf_eval` call per (x, y), independent of `prf_table`."""
+    n = m + t
+    amps = np.zeros(1 << (lam + n), dtype=np.complex128)
+    amplitude = (1 << lam) ** -0.5 * (1 << m) ** -0.5
+    for xv in range(1 << lam):
+        for yv in range(1 << m):
+            tag = int(prf_eval(dk_bits, int_to_bits(xv, lam) + int_to_bits(yv, m), t), 2)
+            amps[(xv << n) | (yv << t) | tag] = amplitude
+    return PureState(lam + n, amps)
+
+
+def reference_measure_slots(scheme, state, rng):
+    """lam single-copy measurements of the slot state, each followed by its delete."""
+    lam = scheme.security_param
+    residue = []
+    for _ in range(lam):
+        x, block = reference_measure_block(state, lam, rng)
+        proof = scheme.prfspd.delete(PureState(state.qubit_count - lam, block), rng)
+        residue.append((x, proof.bits))
+    return tuple(residue)
+
+
 def reference_isometry(family, key, state):
     """sum_x a_x |x>|psi_{k,x}>, skipping the inputs with a_x = 0."""
     d = family.params.input_width
@@ -88,6 +111,18 @@ def test_prfspd_slots_bitwise_equal_to_loop_construction(lam, m, t):
         slot = scheme.qpk_gen(DecryptionKey(dk)).state
         reference = reference_prfspd_slot(family, dk, lam)
         assert same_bits(slot.amplitudes, reference.amplitudes)
+
+
+@pytest.mark.parametrize("lam", range(1, 10))
+def test_public_keys_bitwise_equal_to_per_point_prf_construction(lam):
+    n = min(lam, 8)
+    dk = "101101101"[:lam]
+    owf = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk)).state
+    assert same_bits(owf.amplitudes, reference_owf_key(dk, lam, n).amplitudes)
+    m, t = 1, 6
+    slot = PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, m, t))).qpk_gen(DecryptionKey(dk))
+    assert same_bits(slot.state.amplitudes,
+                     reference_prfspd_slot_per_point(dk, lam, m, t).amplitudes)
 
 
 @pytest.mark.parametrize("d,n", [(1, 1), (2, 2), (3, 2), (3, 3)])
@@ -177,6 +212,19 @@ def test_graph_state_capacity_error_before_allocation(monkeypatch):
     assert calls == []
 
 
+def test_graph_state_calls_cells_of_once_with_the_nonzero_rows():
+    control = PureState(2, np.array([0.6, 0.0, 0.0, 0.8]))
+    calls = []
+
+    def cells_of(rows):
+        calls.append(rows.tolist())
+        return np.array([1, 0])
+
+    state = sim.graph_state(control, 1, cells_of)
+    assert calls == [[0, 3]]
+    assert np.array_equal(state.amplitudes, [0, 0.6, 0, 0, 0, 0, 0.8, 0])
+
+
 # --- measurement --------------------------------------------------------------
 
 
@@ -190,7 +238,7 @@ def test_measure_control_matches_measure_then_slice_over_seeds():
     for state, control_width in ((prfs_key.state, 3), (slot, 3), (haar, 2)):
         for seed in range(60):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            x, block = sim.measure_control(state, control_width, rng_a)
+            x, block = next(sim.measure_control(state, control_width, rng_a))
             x_ref, block_ref = reference_measure_block(state, control_width, rng_b)
             assert x == x_ref
             assert block.qubit_count == state.qubit_count - control_width
@@ -215,7 +263,36 @@ def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeyp
     monkeypatch.setattr(sim, "measure_computational", full_size)
     for (state, control_width, seed), (x_ref, block_ref, next_ref) in zip(cases, references):
         rng = np.random.default_rng(seed)
-        x, block = sim.measure_control(state, control_width, rng)
+        x, block = next(sim.measure_control(state, control_width, rng))
         assert x == x_ref
         assert same_bits(block.amplitudes, block_ref)
         assert rng.random() == next_ref
+
+
+@pytest.mark.parametrize("lam,m,t,seeds", [(4, 1, 2, 1000), (8, 1, 6, 100)])
+def test_slot_measurements_draw_what_single_copy_measurements_drew(lam, m, t, seeds):
+    scheme = PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, m, t)))
+    state = scheme.qpk_gen(DecryptionKey("1" * lam)).state
+    for seed in range(seeds):
+        qpk = scheme.qpk_gen(DecryptionKey("1" * lam))
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        scheme._measure_slots(qpk, rng_a)
+        assert qpk.residue == reference_measure_slots(scheme, state, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+
+def test_slot_measurements_compute_the_control_marginal_once(monkeypatch):
+    lam = 8
+    scheme = PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, 1, 6)))
+    qpk = scheme.qpk_gen(DecryptionKey("10110010"))
+    measured = []
+    born = sim.born_probabilities
+
+    def counting(state, wires):
+        measured.append(state.qubit_count)
+        return born(state, wires)
+
+    monkeypatch.setattr(sim, "born_probabilities", counting)
+    scheme._measure_slots(qpk, np.random.default_rng(3))
+    # one marginal over the 15-qubit key, then one per 7-qubit block that `delete` measures
+    assert measured == [lam + 7] + [7] * lam

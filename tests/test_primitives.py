@@ -21,6 +21,7 @@ from qpklab.primitives import (
     TablePrfs,
     ToyPrfspd,
     prf_eval,
+    prf_table,
 )
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=24)
@@ -69,6 +70,55 @@ def test_prf_truth_table_against_reference():
     # widths at and across the 256-bit digest boundaries
     for width in (0, 1, 255, 256, 257, 512):
         assert prf_eval("101", "0110", width) == reference("101", "0110", width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prf_table_matches_prf_eval_point_by_point(data):
+    key = data.draw(st.text(alphabet="01", max_size=12))
+    in_width = data.draw(st.integers(0, 10))
+    out_width = data.draw(st.integers(1, 300))
+    inputs = data.draw(st.lists(st.integers(0, (1 << in_width) - 1), min_size=1, max_size=12))
+    table = prf_table(key, np.array(inputs), in_width, out_width)
+    assert table.dtype == (np.int64 if out_width <= 63 else object)
+    assert [int(v) for v in table] == [int(prf_eval(key, int_to_bits(v, in_width), out_width), 2)
+                                       for v in inputs]
+
+
+def test_prf_table_keeps_the_shape_of_its_inputs():
+    inputs = np.arange(12).reshape(3, 4)
+    table = prf_table("0110", inputs, 4, 7)
+    assert table.shape == (3, 4)
+    assert table.tolist() == [[int(prf_eval("0110", int_to_bits(v, 4), 7), 2) for v in row]
+                              for row in inputs.tolist()]
+
+
+def test_prf_table_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        prf_table("10a", [0], 2, 4)
+    with pytest.raises(ValueError):
+        prf_table("10", [4], 2, 4)
+    with pytest.raises(ValueError):
+        prf_table("10", [-1], 2, 4)
+    with pytest.raises(ValueError):
+        prf_table("10", [0], 2, -3)
+
+
+def recording_prf(calls):
+    def prf(key, x, width):
+        calls.append(x)
+        return prf_eval(key, x, width)
+    return prf
+
+
+def test_prf_table_calls_an_injected_prf_once_per_point():
+    calls = []
+    table = prf_table("101", np.array([[5, 0], [3, 7]]), 3, 9, recording_prf(calls))
+    assert calls == ["101", "000", "011", "111"]
+    assert table.tolist() == [[int(prf_eval("101", x, 9), 2) for x in pair]
+                              for pair in (("101", "000"), ("011", "111"))]
+    with pytest.raises(ValueError):
+        prf_table("101", [0], 3, 4, lambda key, x, width: "0" * (width + 1))
 
 
 # --- random-function table --------------------------------------------------
@@ -280,6 +330,25 @@ def test_prfspd_proof_collisions(rng):
     expect = trials * (1 - 2**-2)
     sigma = math.sqrt(trials * (1 - 2**-2) * 2**-2)
     assert abs(distinct - expect) < 4 * sigma
+
+
+def test_prfspd_params_validation():
+    with pytest.raises(ValueError, match="measured width"):
+        PrfspdParams(3, 3, -1, 2)
+    with pytest.raises(ValueError, match="tag width"):
+        PrfspdParams(3, 3, 1, 0)
+    assert PrfspdParams(3, 3, 0, 1).output_qubits == 1
+
+
+def test_prfspd_isometry_on_a_basis_state_evaluates_only_its_row():
+    lam, m, t = 5, 2, 3
+    calls = []
+    family = ToyPrfspd(PrfspdParams(lam, lam, m, t), prf=recording_prf(calls))
+    state = family.oracle_isometry("10110", sim.basis_state(lam, "01101"))
+    assert sorted(calls) == ["01101" + int_to_bits(y, m) for y in range(1 << m)]
+    block = ToyPrfspd(family.params).gen("10110", "01101")
+    expected = sim.tensor(sim.basis_state(lam, "01101"), block)
+    assert np.array_equal(state.amplitudes, expected.amplitudes)
 
 
 def test_prfspd_errors(rng):

@@ -112,6 +112,13 @@ def test_capacity_limits():
         PrfspdScheme(12, ToyPrfspd(PrfspdParams(12, 12, 4, 8)))
 
 
+def test_owf_rejects_negative_prf_width_before_any_prf_call():
+    calls = []
+    with pytest.raises(SchemeError, match="-3"):
+        OwfScheme(6, prf_output_width=-3, prf=lambda *args: calls.append(args))
+    assert calls == []
+
+
 def test_width_mismatch_rejected():
     with pytest.raises(SchemeError):
         PrfsScheme(4, PhasePrfs(PrfsParams(3, 3, 2)))
