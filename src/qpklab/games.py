@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import random_bits
-from .primitives import PrfspdProof, ToyPrfspd
+from .primitives import ToyPrfspd
 from .schemes import CapabilityError, QpkeScheme, SchemeError
 
 HARD_QUERY_CAP = 64
@@ -191,7 +191,7 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
         if budgets["ver"] > min(adversary.ver_budget, HARD_QUERY_CAP):
             raise ProtocolViolation("verifier-query budget exceeded")
         transcript.add_event("query", "adversary", f"ver:{x}")
-        return prfspd.verify(key, x, PrfspdProof(proof_bits))
+        return prfspd.verify(key, x, proof_bits)
 
     try:
         x, proofs = adversary.run(gen_oracle, ver_oracle, rng)
@@ -204,9 +204,7 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
     if len(proofs) != t + 1 or len(set(proofs)) != len(proofs):
         transcript.win = False
         return transcript
-    transcript.win = all(
-        prfspd.verify(key, x, PrfspdProof(p)) for p in proofs
-    )
+    transcript.win = all(prfspd.verify(key, x, p) for p in proofs)
     return transcript
 
 

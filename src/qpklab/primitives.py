@@ -12,6 +12,11 @@ values for a whole integer array of inputs at once, with the key checked and
 its hash prefix computed once. The graph-state keys (the OWF key and the
 PRFSPD slot state) are written from one such table per key; an injected PRF
 callable is still called once per point and its outputs checked.
+
+Both state families take their PRF as `prf=` (default `prf_eval`), as
+`schemes.OwfScheme` does: the random-function hybrid passes a
+`RandomFunctionTable`, and a mutation passes a broken PRF such as
+`lambda key, x, w: "0" * w`.
 """
 
 from __future__ import annotations
@@ -97,8 +102,9 @@ def _keystream(key: str, nonce: str, width: int) -> str:
 class RandomFunctionTable:
     """Lazy random function bitstring -> bitstring with a fixed output width.
 
-    Each fresh input gets an i.i.d. uniform output on first query; repeat
-    queries always return the stored value.
+    Called like `prf_eval` so it can stand in for the PRF: the key is ignored,
+    and `out_width` must be the table's own. Each fresh input gets an i.i.d.
+    uniform output on first query; repeat queries always return the stored value.
     """
 
     def __init__(self, out_width: int, rng: np.random.Generator):
@@ -106,7 +112,9 @@ class RandomFunctionTable:
         self._rng = rng
         self._table: dict[str, str] = {}
 
-    def __call__(self, x: str) -> str:
+    def __call__(self, key: str, x: str, out_width: int) -> str:
+        if out_width != self.out_width:
+            raise ValueError(f"random function outputs {self.out_width} bits, asked for {out_width}")
         check_bits(x)
         if x not in self._table:
             self._table[x] = random_bits(self.out_width, self._rng)
@@ -166,14 +174,17 @@ class PrfsParams:
 class _StateFamily:
     """Keyed family of pure states |psi_{k,x}> on `params.output_qubits` qubits.
 
-    Subclasses supply only the amplitudes of one state. `gen` checks the
-    widths and caches every state it builds, emptying the cache once it holds
-    more than 8192. `oracle_isometry` builds its blocks through `gen` unless a
-    family writes the whole state itself (`ToyPrfspd`).
+    Subclasses supply only the amplitudes of one state, from the keyed
+    function `prf` (called like `prf_eval`); passing another callable swaps
+    the PRF for, e.g., a `RandomFunctionTable`. `gen` checks the widths and
+    caches every state it builds, emptying the cache once it holds more than
+    8192. `oracle_isometry` builds its blocks through `gen` unless a family
+    writes the whole state itself (`ToyPrfspd`).
     """
 
-    def __init__(self, params):
+    def __init__(self, params, prf=prf_eval):
         self.params = params
+        self._prf = prf
         self._cache: dict[tuple[str, str], PureState] = {}
 
     def _amplitudes(self, key: str, x: str) -> np.ndarray:
@@ -205,13 +216,10 @@ class _StateFamily:
 class PhasePrfs(_StateFamily):
     """Binary phase-state family: |psi_{k,x}> = 2^{-n/2} sum_y (-1)^{f_k(x||y)} |y>.
 
-    The tester is the exact projective measurement onto the generated state,
-    possible because the simulator holds full statevectors, so its one-sided
-    error is zero here.
+    Each phase bit is one call of the family's PRF. The tester is the exact
+    projective measurement onto the generated state, possible because the
+    simulator holds full statevectors, so its one-sided error is zero here.
     """
-
-    def _phase_bit(self, key: str, x: str, y: str) -> int:
-        return int(prf_eval(key, x + y, 1))
 
     def _amplitudes(self, key, x):
         n = self.params.output_qubits
@@ -219,7 +227,7 @@ class PhasePrfs(_StateFamily):
         amps = np.empty(dim, dtype=np.complex128)
         scale = dim ** -0.5
         for v in range(dim):
-            sign = -1.0 if self._phase_bit(key, x, int_to_bits(v, n)) else 1.0
+            sign = -1.0 if int(self._prf(key, x + int_to_bits(v, n), 1)) else 1.0
             amps[v] = sign * scale
         return amps
 
@@ -230,28 +238,6 @@ class PhasePrfs(_StateFamily):
     def test(self, key: str, x: str, candidate, rng: np.random.Generator) -> int:
         accept, _post = sim.project_onto(candidate, self.gen(key, x), rng)
         return accept
-
-
-class TablePrfs(PhasePrfs):
-    """Phase-state family whose phase bits come from a lazy random function.
-
-    Isolates information-theoretic structure: used where proofs replace the
-    PRF with a truly random function.
-    """
-
-    def __init__(self, params: PrfsParams, rng: np.random.Generator):
-        super().__init__(params)
-        self._table = RandomFunctionTable(1, rng)
-
-    def _phase_bit(self, key, x, y):
-        return int(self._table(x + y))
-
-
-class ConstantPrfs(PhasePrfs):
-    """Broken variant for mutation testing: every (k, x) yields the same state."""
-
-    def _phase_bit(self, key, x, y):
-        return 0
 
 
 @dataclass(frozen=True)
@@ -282,26 +268,15 @@ class PrfspdParams:
         return self.measured_width + self.tag_width
 
 
-@dataclass(frozen=True)
-class PrfspdProof:
-    bits: str
-
-
 class ToyPrfspd(_StateFamily):
     """Function-like states with proofs of destruction, toy instantiation.
 
     Gen(k, x) = 2^{-m/2} sum_y |y>|f_k(x||y)>; Del measures everything in the
     computational basis and outputs the transcript (y, z) as the proof;
     Ver(k, x, (y, z)) accepts iff z = f_k(x||y). Correctness is exact, and a
-    uniformly random proof verifies with probability 2^{-tag_width}.
+    uniformly random proof verifies with probability 2^{-tag_width}. A proof
+    is the c-bit outcome string.
     """
-
-    def __init__(self, params: PrfspdParams, prf=prf_eval):
-        super().__init__(params)
-        self._prf = prf
-
-    def _tag(self, key: str, x: str, y: str) -> str:
-        return self._prf(key, x + y, self.params.tag_width)
 
     def _cells(self, key: str, xs: np.ndarray) -> np.ndarray:
         """Basis indices of the terms |y>|f_k(x||y)> of |psi_{k,x}>: one row of 2^m per x.
@@ -324,17 +299,16 @@ class ToyPrfspd(_StateFamily):
         return sim.graph_state(state, self.params.output_qubits, partial(self._cells, key),
                                (1 << self.params.measured_width) ** -0.5)
 
-    def delete(self, state: PureState, rng: np.random.Generator) -> PrfspdProof:
+    def delete(self, state: PureState, rng: np.random.Generator) -> str:
         if state.qubit_count != self.params.output_qubits:
             raise sim.DimensionMismatchError("state width does not match the family")
-        outcome = sim.sample_outcome(state, state.full_range(), rng)
-        return PrfspdProof(outcome)
+        return sim.sample_outcome(state, state.full_range(), rng)
 
-    def verify(self, key: str, x: str, proof: PrfspdProof) -> int:
-        check_bits(proof.bits, self.params.proof_width)
+    def verify(self, key: str, x: str, proof: str) -> int:
+        check_bits(proof, self.params.proof_width)
         m = self.params.measured_width
-        y, z = proof.bits[:m], proof.bits[m:]
-        return int(z == self._tag(key, x, y))
+        y, z = proof[:m], proof[m:]
+        return int(z == self._prf(key, x + y, self.params.tag_width))
 
     def accepting_density(self) -> float:
         """Probability that a uniformly random proof verifies (any key, input)."""

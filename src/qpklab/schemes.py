@@ -11,7 +11,9 @@ which neither calls nor fills the family's `gen` cache); the PRFS key is
 assembled from `PhasePrfs.gen` states by `sim.controlled_state`. The lambda
 PRFSPD slots are measured from one control marginal by
 `sim.measure_control(..., copies=lambda)`. Every quantum object is pure; a
-mixed state is an ensemble that is sampled.
+mixed state is an ensemble that is sampled. Each scheme's keyed primitive is
+swapped with `prf=`: on `OwfScheme` itself, and on the `PhasePrfs` or
+`ToyPrfspd` family a scheme is built from.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
   the outcome, and symmetric-encrypts under the measured PRF value. Classical
@@ -37,7 +39,6 @@ from . import sim
 from .bits import check_bits, int_to_bits, pack_bits, random_bits, unpack_bits
 from .primitives import (
     PhasePrfs,
-    PrfspdProof,
     SkeCiphertext,
     StreamSke,
     ToyPrfspd,
@@ -75,7 +76,6 @@ class QuantumPublicKey:
     single-shot key.
     """
 
-    scheme: str
     state: sim.PureState
     consumed: bool = False
     residue: object = None
@@ -128,7 +128,7 @@ class QpkeScheme:
             state = self._public_state(dk)
             state.amplitudes.setflags(write=False)
             self._last_public = (dk.bits, state)
-        return QuantumPublicKey(self.name, self._last_public[1])
+        return QuantumPublicKey(self._last_public[1])
 
     def _public_state(self, dk: DecryptionKey) -> sim.PureState:
         """Build the public-key state for `dk`."""
@@ -222,7 +222,7 @@ class PrfspdScheme(QpkeScheme):
         lam = self.security_param
         slots = sim.measure_control(qpk.state, lam, rng, copies=lam)
         # each delete draws from rng between two slot draws, as lam single measurements would
-        qpk.residue = tuple((x, self.prfspd.delete(block, rng).bits) for x, block in slots)
+        qpk.residue = tuple((x, self.prfspd.delete(block, rng)) for x, block in slots)
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
         self.check_message(message)
@@ -260,10 +260,7 @@ class PrfspdScheme(QpkeScheme):
         for x, y_tilde in ct.slots:
             _check_width("slot input", x, lam)
             _check_width("slot proof", y_tilde, self.prfspd.params.proof_width)
-        k = "".join(
-            str(self.prfspd.verify(dk.bits, x, PrfspdProof(y_tilde)))
-            for x, y_tilde in ct.slots
-        )
+        k = "".join(str(self.prfspd.verify(dk.bits, x, y_tilde)) for x, y_tilde in ct.slots)
         return self.ske.decrypt(k, ct.body)
 
 

@@ -23,12 +23,11 @@ from qpklab.bits import int_to_bits, random_bits
 from qpklab.cli import main
 from qpklab.games import estimate_advantage, run_ind_cpa, run_ind_cpa_eo
 from qpklab.primitives import (
-    ConstantPrfs,
     FixedNonceSke,
     PhasePrfs,
     PrfsParams,
     PrfspdParams,
-    TablePrfs,
+    RandomFunctionTable,
     ToyPrfspd,
     prf_eval,
 )
@@ -212,7 +211,7 @@ def test_criterion_09_pad_reuse_mutation():
 
 def test_criterion_09_constant_state_mutation():
     _mutation_case(
-        PrfsScheme(8, ConstantPrfs(PrfsParams(8, 8, 4))),
+        PrfsScheme(8, PhasePrfs(PrfsParams(8, 8, 4), lambda key, x, w: "0" * w)),
         PrfsScheme(8, PhasePrfs(PrfsParams(8, 8, 4))),
         StateComparisonAdversary,
         run_ind_cpa,
@@ -254,7 +253,7 @@ def test_criterion_10_helstrom_consistency():
     ).value
 
     def random_function_runner(child):
-        sc = PrfsScheme(2, TablePrfs(PrfsParams(2, 2, 2), child))
+        sc = PrfsScheme(2, PhasePrfs(PrfsParams(2, 2, 2), RandomFunctionTable(1, child)))
         return run_ind_cpa(sc, StateComparisonAdversary(amplified=False), child)
 
     est = estimate_advantage(random_function_runner, trials, np.random.default_rng(120))

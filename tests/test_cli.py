@@ -85,6 +85,14 @@ def test_helstrom_capacity_error(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_random_key_past_the_enumeration_limit_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--check", "random-key",
+                             "--lambda", "5", "--seed", "1")
+    assert code == EXIT_CONFIG
+    assert "exhaustive enumeration is limited to lam <= 3" in err
+    assert out == ""
+
+
 def test_bad_qubit_cap_names_the_variable(capsys, monkeypatch):
     monkeypatch.setenv("QPKLAB_QMAX", "abc")
     code, _out, err = run_cli(capsys, "analyze", "--check", "helstrom",

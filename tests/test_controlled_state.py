@@ -55,7 +55,7 @@ def reference_measure_slots(scheme, state, rng):
     for _ in range(lam):
         x, block = reference_measure_block(state, lam, rng)
         proof = scheme.prfspd.delete(PureState(state.qubit_count - lam, block), rng)
-        residue.append((x, proof.bits))
+        residue.append((x, proof))
     return tuple(residue)
 
 

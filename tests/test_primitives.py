@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from qpklab import sim
 from qpklab.bits import int_to_bits, random_bits
 from qpklab.primitives import (
-    ConstantPrfs,
     FixedNonceSke,
     PhasePrfs,
     PrfsParams,
     PrfspdParams,
-    PrfspdProof,
     RandomFunctionTable,
     StreamSke,
-    TablePrfs,
     ToyPrfspd,
     prf_eval,
     prf_table,
@@ -130,10 +127,17 @@ def test_table_consistency():
     seen = {}
     for _ in range(20_000):
         x = random_bits(4, rng)
-        y = table(x)
+        y = table("", x, 6)
         assert len(y) == 6
         assert seen.setdefault(x, y) == y
     assert table.known_entries() == seen
+
+
+def test_table_rejects_a_foreign_output_width():
+    table = RandomFunctionTable(1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="outputs 1 bits, asked for 2"):
+        table("", "01", 2)
+    assert table.known_entries() == {}
 
 
 def test_ske_round_trip(rng):
@@ -268,23 +272,56 @@ def test_prfs_tester(rng):
 
 def test_table_prfs_uses_table():
     rng = np.random.default_rng(4)
-    prfs = TablePrfs(PrfsParams(2, 2, 2), rng)
+    prfs = PhasePrfs(PrfsParams(2, 2, 2), RandomFunctionTable(1, rng))
     # phase bits ignore the key: any two keys produce the same state
     assert abs(sim.fidelity(prfs.gen("00", "10"), prfs.gen("11", "10")) - 1.0) < 1e-12
 
 
 def test_constant_prfs_is_input_blind():
-    prfs = ConstantPrfs(PrfsParams(2, 2, 3))
+    prfs = PhasePrfs(PrfsParams(2, 2, 3), lambda key, x, w: "0" * w)
     a, b = prfs.gen("00", "01"), prfs.gen("11", "10")
     assert abs(sim.fidelity(a, b) - 1.0) < 1e-12
     assert np.allclose(a.amplitudes, 2 ** (-3 / 2))
+
+
+def test_phase_family_calls_its_prf_once_per_sign():
+    n = 3
+    calls = []
+    prfs = PhasePrfs(PrfsParams(3, 3, n), prf=recording_prf(calls))
+    state = prfs.gen("101", "011")
+    assert calls == ["011" + int_to_bits(v, n) for v in range(1 << n)]
+    assert prfs.gen("101", "011") is state  # a cache hit calls nothing
+    assert len(calls) == 1 << n
+    scale = (1 << n) ** -0.5
+    reference = [-scale if prf_eval("101", "011" + int_to_bits(v, n), 1) == "1" else scale
+                 for v in range(1 << n)]
+    assert np.array_equal(state.amplitudes, np.array(reference, dtype=np.complex128))
+
+
+def test_random_function_family_draws_the_table_stream():
+    """Phase bits are the twin generator's `random_bits(1, .)` in first-query order."""
+    n = 3
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    prfs = PhasePrfs(PrfsParams(2, 2, n), RandomFunctionTable(1, rng))
+    scale = (1 << n) ** -0.5
+    table = {}
+    # the second key repeats the first input: a cold `gen` that draws nothing
+    for key, x in [("00", "10"), ("11", "10"), ("00", "01"), ("01", "11")]:
+        expected = []
+        for v in range(1 << n):
+            point = x + int_to_bits(v, n)
+            if point not in table:
+                table[point] = random_bits(1, twin)
+            expected.append(-scale if table[point] == "1" else scale)
+        assert np.array_equal(prfs.gen(key, x).amplitudes, np.array(expected, dtype=np.complex128))
+    assert rng.random() == twin.random()
 
 
 def test_random_phase_outcome_uniformity(rng):
     """First-moment smoke check: measurement outcomes of random-function phase
     states are uniform, matching Haar samples' marginal, within 4sigma."""
     n, shots = 4, 10_000
-    prfs = TablePrfs(PrfsParams(4, 4, n), rng)
+    prfs = PhasePrfs(PrfsParams(4, 4, n), RandomFunctionTable(1, rng))
     counts = np.zeros(1 << n)
     for i in range(shots):
         state = prfs.gen("0000", random_bits(4, rng)) if i % 2 else sim.haar_random_state(n, rng)
@@ -312,7 +349,7 @@ def test_prfspd_accepting_density_exact():
     params = PrfspdParams(3, 3, 2, 3)
     pd = ToyPrfspd(params)
     accepted = sum(
-        pd.verify("101", "010", PrfspdProof(int_to_bits(v, params.proof_width)))
+        pd.verify("101", "010", int_to_bits(v, params.proof_width))
         for v in range(1 << params.proof_width)
     )
     assert accepted / (1 << params.proof_width) == pd.accepting_density() == 2**-3
@@ -326,7 +363,7 @@ def test_prfspd_proof_collisions(rng):
     for _ in range(trials):
         state = pd.gen("110", "011")
         p1, p2 = pd.delete(state, rng), pd.delete(state, rng)
-        distinct += int(p1.bits != p2.bits)
+        distinct += int(p1 != p2)
     expect = trials * (1 - 2**-2)
     sigma = math.sqrt(trials * (1 - 2**-2) * 2**-2)
     assert abs(distinct - expect) < 4 * sigma
@@ -358,7 +395,7 @@ def test_prfspd_errors(rng):
     with pytest.raises(sim.DimensionMismatchError):
         pd.delete(sim.uniform_superposition(3), rng)
     with pytest.raises(ValueError):
-        pd.verify("101", "010", PrfspdProof("01"))
+        pd.verify("101", "010", "01")
 
 
 # --- state-family cache -------------------------------------------------------

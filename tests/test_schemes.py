@@ -12,7 +12,6 @@ from qpklab.primitives import (
     PhasePrfs,
     PrfsParams,
     PrfspdParams,
-    PrfspdProof,
     SkeCiphertext,
     ToyPrfspd,
     prf_eval,
@@ -197,7 +196,7 @@ def test_prfspd_slot_flip_flips_key_bit(rng):
     for _ in range(trials):
         qpk, ct = scheme.encrypt(qpk, "1111", rng)
         x0, _y0 = ct.slots[0]
-        random_proof = PrfspdProof(random_bits(scheme.prfspd.params.proof_width, rng))
+        random_proof = random_bits(scheme.prfspd.params.proof_width, rng)
         flips += 1 - scheme.prfspd.verify(dk.bits, x0, random_proof)
     assert flips / trials >= 1 - 2**-4 - 3 * math.sqrt(2**-4 / trials)
 
@@ -212,8 +211,8 @@ def test_prfspd_decrypt_success_exact_enumerated(rng, lam, m, t):
     c = scheme.prfspd.params.proof_width
     success = 1.0
     for x, y in qpk.residue:
-        honest = scheme.prfspd.verify(dk.bits, x, PrfspdProof(y))
-        rejected = sum(1 - scheme.prfspd.verify(dk.bits, x, PrfspdProof(int_to_bits(v, c)))
+        honest = scheme.prfspd.verify(dk.bits, x, y)
+        rejected = sum(1 - scheme.prfspd.verify(dk.bits, x, int_to_bits(v, c))
                        for v in range(1 << c))
         success *= 0.5 * honest + 0.5 * rejected / (1 << c)
     assert abs(scheme.decrypt_success_exact() - success) < 1e-12
