@@ -10,7 +10,6 @@ byte-identical output. Exit status: 0 success, 1 acceptance-check failure,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -24,7 +23,13 @@ from .adversaries import (
     LuckyCloner,
 )
 from .bits import int_to_bits, random_bits
-from .games import estimate_advantage, run_ind_cpa, run_ind_cpa_eo, run_prfspd_cloning
+from .games import (
+    estimate_advantage,
+    run_ind_cpa,
+    run_ind_cpa_eo,
+    run_prfspd_cloning,
+    wilson_interval,
+)
 from .primitives import PhasePrfs, PrfsParams, PrfspdParams, ToyPrfspd, prf_eval
 from .schemes import (
     DecryptionKey,
@@ -121,11 +126,8 @@ def rate_check_failed(successes: int, trials: int, exact: float) -> bool:
     The interval is two-sided at z = RATE_Z and closed at 0 and 1 when the
     empirical rate attains them, so a perfect rate matches an exact 1.0.
     """
-    from scipy.stats import binomtest  # slow to import, so imported where used
-
-    level = math.erf(RATE_Z / math.sqrt(2.0))
-    ci = binomtest(successes, trials).proportion_ci(confidence_level=level, method="wilson")
-    return not ci.low <= exact <= ci.high
+    lo, hi = wilson_interval(successes, trials, RATE_Z)
+    return not lo <= exact <= hi
 
 
 def _owf_exhaustive(scheme, message_width, rng):
@@ -208,9 +210,6 @@ def cmd_game(args, rng):
             def runner(child):
                 return run_ind_cpa(scheme, adv_cls(), child)
         elif args.game in ("cpa-eo", "cpa-eo-multi"):
-            if not scheme.supports_encryption_oracle:
-                raise ConfigError(
-                    f"scheme {args.scheme!r} does not support encryption-oracle games")
             multi = args.game == "cpa-eo-multi"
 
             def runner(child):
@@ -263,7 +262,8 @@ def cmd_analyze(args, rng):
             lam = 2 if args.check == "all" and args.lam > 3 else args.lam
             for queries in (0, 1, 3):
                 report = analysis.random_key_indistinguishability_check(lam, queries=queries)
-                rows.append(["random-key", f"queries={queries}", f"{report.value:.3e}", report.pair])
+                rows.append(["random-key", f"lam={lam},queries={queries}", f"{report.value:.3e}",
+                             report.pair])
                 failed |= report.value > 1e-12
         elif check == "helstrom":
             # `all` clamps to lambda <= 3 so its report keeps its bytes; an

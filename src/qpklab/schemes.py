@@ -322,7 +322,10 @@ class PrfsScheme(QpkeScheme):
 # tag byte (1 = owf, 2 = prfspd), u16 big-endian security parameter, then
 # bitstring fields, each a u16 big-endian bit length followed by the bits
 # packed MSB-first. Scheme 1: x, nonce, body. Scheme 2: nonce, body, u16 slot
-# count, then per slot x and y~.
+# count, then per slot x and y~. The parser checks the widths that the
+# security parameter fixes (x; the Scheme 2 nonce, slot count and slot
+# inputs); `decrypt` checks the widths that depend on the scheme's other
+# parameters.
 
 
 def _put_bits(parts: list, s: str):
@@ -391,14 +394,22 @@ def deserialize_ciphertext(data: bytes):
     if tag == 1:
         lam = reader.u16()
         x = reader.bits()
+        _check_width("x", x, lam)
         nonce = reader.bits()
         body = reader.bits()
         return reader.finish(Scheme1Ciphertext(lam, x, SkeCiphertext(nonce, body)))
     if tag == 2:
         lam = reader.u16()
         nonce = reader.bits()
+        _check_width("nonce", nonce, lam)  # the SKE key is the lambda-bit k
         body = reader.bits()
         count = reader.u16()
-        slots = tuple((reader.bits(), reader.bits()) for _ in range(count))
-        return reader.finish(Scheme2Ciphertext(lam, SkeCiphertext(nonce, body), slots))
+        if count != lam:
+            raise SchemeError(f"ciphertext has {count} slots, expected {lam}")
+        slots = []
+        for _ in range(count):
+            x = reader.bits()
+            _check_width("slot input", x, lam)
+            slots.append((x, reader.bits()))
+        return reader.finish(Scheme2Ciphertext(lam, SkeCiphertext(nonce, body), tuple(slots)))
     raise SchemeError(f"unknown ciphertext tag {tag}")

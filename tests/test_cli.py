@@ -219,6 +219,24 @@ def test_game_eo_on_prfs_rejected(capsys):
     code, _out, err = run_cli(capsys, "game", "--scheme", "prfs", "--game", "cpa-eo",
                               "--trials", "100", "--seed", "5")
     assert code == EXIT_CONFIG
+    # the game's own CapabilityError, a ValueError, reaches stderr
+    assert "scheme 'prfs' does not support the encryption oracle game" in err
+
+
+def test_game_and_correctness_never_import_scipy():
+    src = os.path.dirname(os.path.dirname(qpklab.__file__))
+    script = (
+        "import sys\n"
+        "from qpklab.cli import main\n"
+        "assert main('game --scheme owf --game cpa-eo --adversary copy-measure --lambda 3 "
+        "--trials 100 --seed 1'.split()) == 0\n"
+        "assert main('correctness --scheme prfs --n 2 --lambda 3 --trials 100 "
+        "--seed 1'.split()) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # the schemes whose keys and ciphertexts each game adversary reads
@@ -286,6 +304,16 @@ def test_analyze_all(capsys):
     assert code == EXIT_OK
     for name in ("punctured", "commuting", "random-key", "helstrom"):
         assert name in out
+
+
+def test_analyze_all_names_the_lambda_each_row_ran_at(capsys):
+    # `all` clamps random-key to lambda = 2 and helstrom to lambda <= 3
+    code, out, _err = run_cli(capsys, "analyze", "--check", "all", "--lambda", "5", "--seed", "1")
+    assert code == EXIT_OK
+    assert "# lambda=5" in out
+    random_key = [line.split()[1] for line in out.splitlines() if line.startswith("random-key")]
+    assert random_key == ["lam=2,queries=0", "lam=2,queries=1", "lam=2,queries=3"]
+    assert "lam=3,p=1" in out
 
 
 # --- rendering and determinism ----------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import binomtest, chisquare
 
 from qpklab.adversaries import (
     AdversaryStrategy,
@@ -18,11 +18,13 @@ from qpklab.bits import random_bits
 from qpklab.primitives import PhasePrfs, PrfsParams, PrfspdParams, ToyPrfspd
 from qpklab.schemes import CapabilityError, OwfScheme, PrfsScheme
 from qpklab.games import (
+    Z_95,
     AdvantageEstimate,
     estimate_advantage,
     run_ind_cpa,
     run_ind_cpa_eo,
     run_prfspd_cloning,
+    wilson_interval,
 )
 
 
@@ -285,3 +287,38 @@ def test_estimate_invariants(rng):
     assert isinstance(est, AdvantageEstimate)
     assert 0.0 <= est.interval[0] <= est.estimate <= est.interval[1] <= 1.0
     assert est.wins == round(est.estimate * est.trials)
+
+
+# --- Wilson interval ---------------------------------------------------------
+
+
+def _scipy_wilson(k, n, level):
+    # the interval does not depend on the hypothesised p; p = k/n only spares
+    # binomtest most of its two-sided p-value search
+    ci = binomtest(k, n, p=k / n).proportion_ci(confidence_level=level, method="wilson")
+    return ci.low, ci.high
+
+
+def test_wilson_interval_matches_scipy_bit_for_bit_at_95_percent():
+    cases = [(k, n) for n in (100, 150, 200, 300, 500) for k in range(n + 1)]
+    cases += [(k, n) for n in (1000, 2000) for k in (0, 1, n // 2, n - 1, n)]
+    for k, n in cases:
+        assert wilson_interval(k, n, Z_95) == _scipy_wilson(k, n, 0.95), (k, n)
+
+
+def test_wilson_interval_at_five_standard_errors_matches_scipy():
+    level = math.erf(5.0 / math.sqrt(2.0))
+    for n in (100, 300, 1000):
+        for k in range(0, n + 1, 7):
+            lo, hi = wilson_interval(k, n, 5.0)
+            ref_lo, ref_hi = _scipy_wilson(k, n, level)
+            assert abs(lo - ref_lo) <= 1e-9 and abs(hi - ref_hi) <= 1e-9, (k, n)
+
+
+@pytest.mark.parametrize("z", [Z_95, 5.0])
+@pytest.mark.parametrize("n", [1, 100, 2000])
+def test_wilson_interval_closed_at_the_ends(n, z):
+    lo, hi = wilson_interval(0, n, z)
+    assert lo == 0.0 and 0.0 < hi < 1.0
+    lo, hi = wilson_interval(n, n, z)
+    assert 0.0 < lo < 1.0 and hi == 1.0

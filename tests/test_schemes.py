@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpklab import sim
@@ -361,13 +361,59 @@ def test_serialize_errors(rng):
         serialize_ciphertext(ct)  # quantum payloads have no byte form
 
 
-@given(x=bit_fields, nonce=bit_fields, body=bit_fields)
+@given(x=bit_fields, nonce=bit_fields, body=bit_fields, data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_serialize_round_trip_property(x, nonce, body):
+def test_serialize_round_trip_property(x, nonce, body, data):
+    # the Scheme 1 nonce and body, the Scheme 2 body and the proofs have
+    # widths the header does not fix; x, the Scheme 2 nonce and slot inputs
+    # are lambda bits
     ct = Scheme1Ciphertext(len(x), x, SkeCiphertext(nonce, body))
     assert deserialize_ciphertext(serialize_ciphertext(ct)) == ct
-    ct2 = Scheme2Ciphertext(2, SkeCiphertext(nonce, body), ((x, body), (nonce, x)))
+    lam_bits = st.text(alphabet="01", min_size=2, max_size=2)
+    ct2 = Scheme2Ciphertext(2, SkeCiphertext(data.draw(lam_bits), body),
+                            ((data.draw(lam_bits), body), (data.draw(lam_bits), x)))
     assert deserialize_ciphertext(serialize_ciphertext(ct2)) == ct2
+
+
+def _ciphertext_with_one_wrong_width(lam, field, width, body):
+    """A ciphertext of security parameter `lam` whose `field` alone has `width`."""
+    right = "1" * lam
+    if field == "x":
+        return Scheme1Ciphertext(lam, "0" * width, SkeCiphertext(body, body))
+    if field == "slot count":
+        return Scheme2Ciphertext(lam, SkeCiphertext(right, body), ((right, body),) * width)
+    nonce = "0" * width if field == "nonce" else right
+    slots = [(right, body)] * lam
+    if field == "slot input":
+        slots[-1] = ("0" * width, body)
+    return Scheme2Ciphertext(lam, SkeCiphertext(nonce, body), tuple(slots))
+
+
+WIDTH_ERRORS = {"x": "x has", "nonce": "nonce has", "slot count": "slots, expected",
+                "slot input": "slot input has"}
+
+
+@given(lam=st.integers(1, 8), field=st.sampled_from(sorted(WIDTH_ERRORS)),
+       width=st.integers(0, 16), body=bit_fields)
+@example(lam=4, field="x", width=1, body="01")
+@example(lam=3, field="nonce", width=1, body="01")
+@example(lam=3, field="slot input", width=5, body="01")
+@settings(max_examples=100, deadline=None)
+def test_deserialize_rejects_any_other_width_than_lambda(lam, field, width, body):
+    ct = _ciphertext_with_one_wrong_width(lam, field, width, body)
+    data = serialize_ciphertext(ct)
+    if width == lam:
+        assert deserialize_ciphertext(data) == ct
+    else:
+        with pytest.raises(SchemeError, match=WIDTH_ERRORS[field]):
+            deserialize_ciphertext(data)
+
+
+def test_deserialize_checks_the_slot_count_before_reading_a_slot():
+    # 65535 slots with no slot bytes is a count error, not a truncation
+    header = serialize_ciphertext(Scheme2Ciphertext(3, SkeCiphertext("101", "1"), ()))
+    with pytest.raises(SchemeError, match="65535 slots, expected 3"):
+        deserialize_ciphertext(header[:-2] + b"\xff\xff")
 
 
 @pytest.mark.parametrize("make_scheme", [lambda: OwfScheme(3), lambda: make_prfspd_scheme(3, 1, 3)],
