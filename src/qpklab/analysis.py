@@ -14,9 +14,11 @@ amplitude or rank:
   measured register's block, never a zero-padded full-size vector;
 - keyed Helstrom values work from Gram matrices: p key copies are the power
   C^p of the key-state overlaps, one block per classical label (x* or (x*, r,
-  body)), and block eigenvalues below 1e-12 times the largest are dropped;
+  body)), blocks of one size solved as one stack, and each block's
+  eigenvalues below 1e-12 times its largest are dropped;
 - the random-function Helstrom value uses rho1 = w*I and the spectrum of
-  rho0, built and solved one x* block at a time.
+  rho0, whose x* blocks are permutations of one another: block 0 is built
+  and solved once.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from functools import reduce
 import numpy as np
 
 from . import sim
-from .bits import int_to_bits, xor_bits
-from .primitives import PhasePrfs, PrfsParams, _keystream, prf_eval
+from .bits import check_bits, int_to_bits, xor_bits
+from .primitives import PhasePrfs, PrfsParams, _keystream, prf_table
 from .schemes import DecryptionKey, OwfScheme
 from .sim import PureState, WireRange
 
@@ -98,25 +100,38 @@ def _joint_distribution(state: PureState, labelled_ranges):
     orders are directly comparable. Each projection keeps only the block of
     its outcome: the measured register's wires are dropped and the registers
     above it move down by its width, so no branch builds a full-size vector.
+    The last register's blocks are never renormalized: their probabilities
+    go straight into the distribution.
     """
-    dist: dict = {}
-
-    def recurse(amps, ranges, acc, prob):
-        if not ranges:
-            key = tuple(sorted(acc))
-            dist[key] = dist.get(key, 0.0) + prob
-            return
-        (label, wires), rest = ranges[0], ranges[1:]
+    # where each register sits once the registers measured before it are dropped
+    levels, rest = [], list(labelled_ranges)
+    while rest:
+        (label, wires), rest = rest[0], rest[1:]
+        levels.append((label, wires))
         rest = [(other, WireRange(w.offset - wires.width, w.width)
                  if w.offset > wires.offset else w) for other, w in rest]
+    if not levels:
+        return {(): 1.0}
+    dist: dict = {}
+
+    def recurse(amps, depth, acc, prob):
+        label, wires = levels[depth]
         for v in range(1 << wires.width):
             block = sim._register_block(amps, wires, v)
             p = float(np.vdot(block, block).real)
-            if p > sim.ATOL_EXACT**2:
-                recurse(block / np.sqrt(p), rest,
-                        acc + [(label, int_to_bits(v, wires.width))], prob * p)
+            if p <= sim.ATOL_EXACT**2:
+                continue
+            outcome = acc + [(label, int_to_bits(v, wires.width))]
+            if depth + 1 == len(levels):
+                key = tuple(sorted(outcome))
+                dist[key] = dist.get(key, 0.0) + prob * p
+            else:
+                # numpy divides complex by real as a product with the
+                # reciprocal, so this real product keeps every bit of block / sqrt(p)
+                floats = np.ascontiguousarray(block).view(np.float64) * (1.0 / np.sqrt(p))
+                recurse(floats.view(np.complex128), depth + 1, outcome, prob * p)
 
-    recurse(state.amplitudes, list(labelled_ranges), [], 1.0)
+    recurse(state.amplitudes, 0, [], 1.0)
     return dist
 
 
@@ -194,9 +209,12 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridR
     xs_all = [int_to_bits(v, lam) for v in range(1 << lam)]
     vals = ["0", "1"]
 
-    # the bodies depend only on (key, nonce): tabulate them once
+    # the answers depend only on the key and the nonces: tabulate them once
     bodies_of = {(key, r): xor_bits(_keystream(key, r, len(message)), message)
                  for key in vals for r in vals}
+    answers_of = {key: [tuple((r, bodies_of[key, r]) for r in nonces)
+                        for nonces in itertools.product(vals, repeat=queries)]
+                  for key in vals}
 
     def visible(key_from_table: bool):
         for x_star in xs_all:
@@ -204,9 +222,8 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridR
             for rest in itertools.product(vals, repeat=len(others)):
                 for h_star in vals:
                     for z in vals:
-                        key = h_star if key_from_table else z
-                        for nonces in itertools.product(vals, repeat=queries):
-                            yield x_star, rest, tuple((r, bodies_of[key, r]) for r in nonces)
+                        for answers in answers_of[h_star if key_from_table else z]:
+                            yield x_star, rest, answers
 
     tv = total_variation(_uniform_over(visible(True)), _uniform_over(visible(False)))
     return HybridReport("H3-H4", "total-variation", tv,
@@ -226,21 +243,30 @@ def _check_gram_budget(entries: int) -> None:
         raise sim.CapacityError(f"Gram path needs {entries} entries, more than 2^{sim.q_max()}")
 
 
-def _block_distance(gram: np.ndarray, weights: np.ndarray) -> float:
-    """Half the trace norm of V S V^dagger, given only G = V^dagger V.
+# Gram blocks of one size are solved as (blocks, r, r) stacks of at most this
+# many entries, or of one block where that is larger: memory follows a stack,
+# not all the blocks of a size.
+_STACK_ENTRIES = 1 << 16
 
-    S = diag(weights) holds the signed weights of V's columns. From `eigh`,
-    G = L L^dagger with L of full column rank (eigenvalues below _RANK_TOL
-    times the largest dropped); V S V^dagger then has the nonzero spectrum
-    of L^dagger S L. A block with no imaginary part (phase states and one-hot
-    keys have real amplitudes) is solved in real arithmetic, which is faster.
+
+def _stack_distance(grams: np.ndarray, weights: np.ndarray) -> float:
+    """Sum over a stack of blocks of half the trace norm of V S V^dagger, given
+    only G = V^dagger V.
+
+    `grams` is (blocks, r, r) and `weights` (blocks, r): S = diag(weights)
+    holds the signed weights of V's columns. From `eigh`, G = L L^dagger;
+    each block's eigenvalues below _RANK_TOL times its largest are dropped by
+    zeroing their columns of L, which adds only zero eigenvalues to
+    L^dagger S L, whose nonzero spectrum is that of V S V^dagger. A stack
+    with no imaginary part (phase states and one-hot keys have real
+    amplitudes) is solved in real arithmetic, which is faster.
     """
-    if not gram.imag.any():
-        gram = gram.real
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > _RANK_TOL * vals[-1]
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
-    eigs = np.linalg.eigvalsh((factor.conj().T * weights) @ factor)
+    if not grams.imag.any():
+        grams = grams.real
+    vals, vecs = np.linalg.eigh(grams)
+    keep = vals > _RANK_TOL * vals[:, -1:]
+    factor = vecs * np.sqrt(np.where(keep, vals, 0.0))[:, None, :]
+    eigs = np.linalg.eigvalsh((factor.conj().transpose(0, 2, 1) * weights[:, None, :]) @ factor)
     return float(0.5 * np.abs(eigs).sum())
 
 
@@ -250,24 +276,36 @@ def _gram_distance(key_states: np.ndarray, copies: int, terms0, terms1) -> float
     The terms are (label, weight, k, payload) with k a row of `key_states`.
     Inner products factor as C[k,k']^p * delta_label * <payload|payload'>
     with C the key-state overlaps: the copies are an exponent on C, and each
-    classical label is a block of its own.
+    classical label is a block of its own. Blocks with the same row count
+    are solved together (`_stack_distance`).
     """
     overlap = (key_states.conj() @ key_states.T) ** copies
     blocks: dict = {}
     for sign, terms in ((1.0, terms0), (-1.0, terms1)):
         for label, weight, k, payload in terms:
             blocks.setdefault(label, []).append((sign * weight, k, payload))
-    total = 0.0
+    by_size: dict = {}
     for rows in blocks.values():
-        weights, keys, payloads = (np.array(col) for col in zip(*rows))
-        gram = overlap[np.ix_(keys, keys)] * (payloads.conj() @ payloads.T)
-        total += _block_distance(gram, weights)
+        by_size.setdefault(len(rows), []).append(rows)
+    total = 0.0
+    for size, group in by_size.items():
+        per_stack = max(1, _STACK_ENTRIES // size**2)
+        for start in range(0, len(group), per_stack):
+            stack = group[start:start + per_stack]
+            # (blocks, rows) weights and key rows, (blocks, rows, dim) payloads
+            weights, keys, payloads = (np.array(col)
+                                       for col in zip(*(zip(*rows) for rows in stack)))
+            grams = (overlap[keys[:, :, None], keys[:, None, :]]
+                     * (payloads.conj() @ payloads.transpose(0, 2, 1)))
+            total += _stack_distance(grams, weights)
     return total
 
 
 def _prfs_keyed_distance(lam, copies, output_qubits, m0, m1) -> float:
     """Keyed `prfs` ensembles: |qpk_k>^p (x) |x*> (x) payload(m) over all k, x*, one
-    block per x*. The mixed payload I/2^n of message 1 is 2^n basis terms."""
+    block per x*. The message-0 payload |psi_{k,x*}> is block x* of the key
+    state, renormalized, as `PrfsScheme.encrypt` sends it; the mixed payload
+    I/2^n of message 1 is 2^n basis terms."""
     d, n = lam, output_qubits
     keys = [int_to_bits(v, lam) for v in range(1 << lam)]
     rows = len(keys) * sum(1 if m == "0" else 1 << n for m in (m0, m1))
@@ -275,13 +313,15 @@ def _prfs_keyed_distance(lam, copies, output_qubits, m0, m1) -> float:
     prfs = PhasePrfs(PrfsParams(lam, d, n))
     key_states = np.array([prfs.oracle_isometry(key, sim.uniform_superposition(d)).amplitudes
                            for key in keys])
+    states = key_states.reshape(len(keys), 1 << d, 1 << n)
+    states = states / np.linalg.norm(states, axis=2, keepdims=True)
     weight = 1.0 / (len(keys) << d)
 
     def terms(message):
         for xv in range(1 << d):
-            for k, key in enumerate(keys):
+            for k in range(len(keys)):
                 if message == "0":
-                    yield xv, weight, k, prfs.gen(key, int_to_bits(xv, d)).amplitudes
+                    yield xv, weight, k, states[k, xv]
                 else:
                     for y in np.eye(1 << n):
                         yield xv, weight / (1 << n), k, y
@@ -299,12 +339,13 @@ def _owf_keyed_distance(lam, copies, m0, m1, n) -> float:
     scheme = OwfScheme(lam, prf_output_width=n)
     key_states = np.array([scheme.qpk_gen(DecryptionKey(key)).state.amplitudes
                            for key in keys])
+    images = [prf_table(key, np.arange(1 << lam), lam, n) for key in keys]
     weight = 1.0 / (len(keys) << (lam + n))
 
     def terms(message):
-        for k, key in enumerate(keys):
+        for k in range(len(keys)):
             for xv in range(1 << lam):
-                y = prf_eval(key, int_to_bits(xv, lam), n)
+                y = int_to_bits(int(images[k][xv]), n)
                 for rv in range(1 << n):
                     body = xor_bits(_keystream(y, int_to_bits(rv, n), len(m0)), message)
                     yield (xv, rv, body), weight, k, np.ones(1)
@@ -321,8 +362,8 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
     rho1 = w*I with w = 1/dim, so ||rho0 - rho1||_1 = sum_i |lambda_i(rho0) - w|
     and only the spectrum of rho0 is needed. rho0 is block-diagonal in the
     classical x* register; each block is built from the three pairings of
-    the four queried points (k=b, 3=4), (k=3, b=4), (k=4, b=3) and solved on
-    its own.
+    the four queried points (k=b, 3=4), (k=3, b=4), (k=4, b=3), and all
+    blocks share one spectrum, so only block 0 is built and solved.
     """
     d, n = lam, output_qubits
     if copies not in (0, 1):
@@ -330,23 +371,22 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
     if copies == 0:
         # no copy: the mixed payload and the averaged pure payload coincide
         return 0.0
+    rows = 1 << (d + 2 * n)
+    _check_gram_budget(rows * rows)
     w = 2.0 ** -(2 * (d + n))
     # An x* block has rows (k, y3) and columns (b, y4): k and b are the key
     # copy's points (x, y), 3 = (x*, y3) and 4 = (x*, y4) the payload's.
-    # `same` is k=b with 3=4, `own` on both sides is k=3 with b=4, and
-    # `crossed` is k=4 with b=3.
-    idx = np.arange(1 << (d + 2 * n))
+    # The identity is k=b with 3=4, `own` on both sides is k=3 with b=4, and
+    # `crossed` is k=4 with b=3. Relabelling x -> x xor x* in all four points
+    # keeps which of them coincide, and it maps block x* onto block 0 by one
+    # permutation of rows and columns; so the 2^d blocks have the spectrum
+    # of block 0, whose payload points are (0, y3) and (0, y4).
+    idx = np.arange(rows)
     point, y = idx >> n, idx & ((1 << n) - 1)
-    same = np.eye(len(idx), dtype=bool)
-    total = 0.0
-    for xs in range(1 << d):
-        payload_point = (xs << n) | y
-        own = point == payload_point
-        crossed = ((point[:, None] == payload_point[None, :])
-                   & (payload_point[:, None] == point[None, :]))
-        block = w * (same | (own[:, None] & own[None, :]) | crossed)
-        total += np.abs(np.linalg.eigvalsh(block) - w).sum()
-    return float(0.5 * total)
+    own = point == y
+    crossed = (point[:, None] == y[None, :]) & (y[:, None] == point[None, :])
+    block = w * (np.eye(rows, dtype=bool) | (own[:, None] & own[None, :]) | crossed)
+    return float(0.5 * (1 << d) * np.abs(np.linalg.eigvalsh(block) - w).sum())
 
 
 def optimal_advantage(scheme: str, lam: int, copies: int, messages,
@@ -357,16 +397,25 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
     at most (1 + value) / 2) for an adversary holding `copies` public-key
     copies plus the challenge ciphertext. Keyed modes enumerate every key and
     work from Gram matrices (`_gram_distance`): the copies are an elementwise
-    exponent on the key-state overlaps C, one block is solved per classical
-    label (x* for `prfs`, (x*, r, body) for `owf`), and each block's
-    eigenvalues below 1e-12 times its largest are dropped. Their cost does
-    not depend on `copies`; key states and blocks must fit the entries of a
-    q_max-qubit state. The random mode of `prfs` uses rho1 = w*I and solves
-    rho0 one x* block at a time.
+    exponent on the key-state overlaps C, each classical label (x* for
+    `prfs`, (x*, r, body) for `owf`) is a block, the blocks of one size are
+    solved as one stack, and each block's eigenvalues below 1e-12 times its
+    largest are dropped. Their cost does not depend on `copies`; key states
+    and blocks must fit the entries of a q_max-qubit state. The random mode
+    of `prfs` uses rho1 = w*I and solves one x* block of rho0, because the
+    others are permutations of it.
+
+    `prfs` messages must be single bits and `owf` messages bitstrings of one
+    width, as the schemes encrypt; anything else raises ValueError before any
+    key is built.
     """
     if copies < 0:
         raise ValueError("copy count must be nonnegative")
     m0, m1 = messages
+    if scheme == "prfs" and not {m0, m1} <= {"0", "1"}:
+        raise ValueError(f"prfs encrypts single bits, got messages {m0!r} and {m1!r}")
+    if scheme == "owf" and len(check_bits(m0)) != len(check_bits(m1)):
+        raise ValueError(f"owf messages must have one width, got {m0!r} and {m1!r}")
     if m0 == m1:
         value = 0.0
     elif (scheme, mode) == ("prfs", "prf"):

@@ -1,11 +1,14 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpklab import analysis, sim
+from qpklab import analysis, primitives, schemes, sim
 from qpklab.bits import int_to_bits, xor_bits
 from qpklab.primitives import PhasePrfs, PrfsParams, _keystream, prf_eval
 from qpklab.schemes import DecryptionKey, OwfScheme
@@ -189,6 +192,81 @@ def _enumerated_random_key_distributions(lam, queries, out_width=1, message="10"
     return visible_distribution(True), visible_distribution(False)
 
 
+def _renormalizing_joint_distribution(state, labelled_ranges):
+    """`_joint_distribution` as a recursion that renormalizes every block it
+    measures, the last register's too, and shifts the ranges at every branch."""
+    dist: dict = {}
+
+    def recurse(amps, ranges, acc, prob):
+        if not ranges:
+            key = tuple(sorted(acc))
+            dist[key] = dist.get(key, 0.0) + prob
+            return
+        (label, wires), rest = ranges[0], ranges[1:]
+        rest = [(other, WireRange(w.offset - wires.width, w.width)
+                 if w.offset > wires.offset else w) for other, w in rest]
+        for v in range(1 << wires.width):
+            block = sim._register_block(amps, wires, v)
+            p = float(np.vdot(block, block).real)
+            if p > sim.ATOL_EXACT**2:
+                recurse(block / np.sqrt(p), rest,
+                        acc + [(label, int_to_bits(v, wires.width))], prob * p)
+
+    recurse(state.amplitudes, list(labelled_ranges), [], 1.0)
+    return dist
+
+
+def _random_mode_every_block(d, n):
+    """The random-mode value with each of the 2^d x* blocks built and solved."""
+    w = 2.0 ** -(2 * (d + n))
+    idx = np.arange(1 << (d + 2 * n))
+    point, y = idx >> n, idx & ((1 << n) - 1)
+    same = np.eye(len(idx), dtype=bool)
+    total = 0.0
+    for xs in range(1 << d):
+        payload_point = (xs << n) | y
+        own = point == payload_point
+        crossed = ((point[:, None] == payload_point[None, :])
+                   & (payload_point[:, None] == point[None, :]))
+        block = w * (same | (own[:, None] & own[None, :]) | crossed)
+        total += np.abs(np.linalg.eigvalsh(block) - w).sum()
+    return float(0.5 * total)
+
+
+def _complex_block_distance(gram, weights):
+    """One Gram block solved in complex arithmetic, its rank cut by dropping
+    columns: the reference for `analysis._stack_distance`."""
+    vals, vecs = np.linalg.eigh(gram.astype(np.complex128))
+    keep = vals > analysis._RANK_TOL * vals[-1]
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    eigs = np.linalg.eigvalsh((factor.conj().T * weights) @ factor)
+    return float(0.5 * np.abs(eigs).sum())
+
+
+def _complex_stack_distance(grams, weights):
+    return sum(_complex_block_distance(g, w) for g, w in zip(grams, weights))
+
+
+def _count_prf_eval_calls(monkeypatch):
+    """Record every `prf_eval` call, through each name and default argument
+    that binds it in the package."""
+    original = primitives.prf_eval
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (primitives, schemes, analysis):
+        if getattr(module, "prf_eval", None) is original:
+            monkeypatch.setattr(module, "prf_eval", counting)
+    for func in (primitives.prf_table, primitives._StateFamily.__init__,
+                 schemes.OwfScheme.__init__):
+        monkeypatch.setattr(func, "__defaults__",
+                            tuple(counting if d is original else d for d in func.__defaults__))
+    return calls
+
+
 def _projected_joint_distribution(state, labelled_ranges):
     dist: dict = {}
 
@@ -266,6 +344,16 @@ def test_joint_distribution_matches_projections(lam, ones):
         assert set(sliced) == set(projected)
         for key, prob in projected.items():
             assert abs(sliced[key] - prob) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_joint_distribution_keeps_the_bits_of_the_renormalizing_recursion(lam, copies):
+    for dk_bits in ("0" * lam, "1" * lam, ("10" * lam)[:lam]):
+        joint, ranges = analysis._joint_key_state(lam, copies, dk_bits)
+        for order in (ranges, ranges[1:] + ranges[:1]):
+            assert (analysis._joint_distribution(joint, order)
+                    == _renormalizing_joint_distribution(joint, order))
 
 
 def test_commuting_capacity():
@@ -356,6 +444,24 @@ def test_advantage_monotone_in_security_param():
     assert values[0] >= values[1] >= values[2]
 
 
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2)])
+def test_random_mode_one_block_matches_every_block(d, n):
+    adv = analysis.optimal_advantage("prfs", d, 1, ("0", "1"), output_qubits=n, mode="random")
+    assert abs(adv.value - _random_mode_every_block(d, n)) <= 1e-15
+
+
+def test_random_mode_budget_checked_before_the_block_is_built():
+    # the (d, n) = (4, 4) block is 4096 x 4096: 16 MB as booleans, 128 MB as floats
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.CapacityError):
+            analysis.optimal_advantage("prfs", 4, 1, ("0", "1"), output_qubits=4, mode="random")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_random_mode_no_copies():
     adv = analysis.optimal_advantage("prfs", 2, 0, ("0", "1"), mode="random")
     assert adv.value == 0.0
@@ -387,6 +493,26 @@ def test_advantage_errors():
         analysis.optimal_advantage("prfs", 6, 1, ("0", "1"))
 
 
+@pytest.mark.parametrize("scheme,messages", [
+    ("prfs", ("00", "11")),
+    ("prfs", ("0", "11")),
+    ("prfs", ("1", "")),
+    ("owf", ("00", "1")),
+    ("owf", ("0a", "11")),
+    ("owf", ("01", "0 ")),
+])
+@pytest.mark.parametrize("mode", ["prf", "random"])
+def test_advantage_rejects_messages_the_scheme_does_not_encrypt(monkeypatch, scheme, messages,
+                                                                mode):
+    def fail(*args, **kwargs):
+        raise AssertionError("key state built before the messages were checked")
+
+    monkeypatch.setattr(PhasePrfs, "oracle_isometry", fail)
+    monkeypatch.setattr(OwfScheme, "qpk_gen", fail)
+    with pytest.raises(ValueError):
+        analysis.optimal_advantage(scheme, 2, 1, messages, mode=mode)
+
+
 def test_advantage_rejects_negative_copies():
     # a negative exponent on the key overlaps would divide by them
     for scheme, messages in (("prfs", ("0", "1")), ("owf", ("00", "11"))):
@@ -397,18 +523,9 @@ def test_advantage_rejects_negative_copies():
 def test_helstrom_bound_on_density_pair():
     zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     vectors = np.array([zero, zero, one])
-    value = analysis._block_distance(vectors @ vectors.T, np.array([1.0, -0.5, -0.5]))
+    value = analysis._stack_distance((vectors @ vectors.T)[None],
+                                     np.array([[1.0, -0.5, -0.5]]))
     assert abs(value - 0.5) < 1e-12
-
-
-def _complex_block_distance(gram, weights):
-    """`_block_distance` solved in complex arithmetic for every block: the reference
-    for the real solve it now uses on blocks with no imaginary part."""
-    vals, vecs = np.linalg.eigh(gram.astype(np.complex128))
-    keep = vals > analysis._RANK_TOL * vals[-1]
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
-    eigs = np.linalg.eigvalsh((factor.conj().T * weights) @ factor)
-    return float(0.5 * np.abs(eigs).sum())
 
 
 @pytest.mark.parametrize("scheme,lam,copies,messages,n", [
@@ -430,8 +547,10 @@ def test_real_gram_blocks_match_the_complex_solve(monkeypatch, scheme, lam, copi
     monkeypatch.setattr(np.linalg, "eigh", recording)
     value = analysis.optimal_advantage(scheme, lam, copies, messages, output_qubits=n).value
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}
-    monkeypatch.setattr(analysis, "_block_distance", _complex_block_distance)
+    dtypes.clear()
+    monkeypatch.setattr(analysis, "_stack_distance", _complex_stack_distance)
     reference = analysis.optimal_advantage(scheme, lam, copies, messages, output_qubits=n).value
+    assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
     assert abs(value - reference) <= 1e-15
 
 
@@ -441,8 +560,63 @@ def test_complex_gram_block_keeps_the_complex_solve():
     gram = vectors.conj() @ vectors.T
     weights = np.array([0.3, 0.2, -0.25, -0.15, -0.1])
     assert gram.imag.any()
-    assert abs(analysis._block_distance(gram, weights)
+    assert abs(analysis._stack_distance(gram[None], weights[None])
                - _complex_block_distance(gram, weights)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8),
+       blocks=st.lists(st.tuples(st.integers(1, 8), st.booleans()), min_size=1, max_size=5))
+def test_stacked_solve_matches_a_complex_solve_per_block(seed, rows, blocks):
+    # each block is the Gram matrix of `rows` unit vectors spanning `rank`
+    # dimensions, real or complex, with signed weights of total mass 1
+    rng = np.random.default_rng(seed)
+    grams, weights = [], []
+    for rank, is_complex in blocks:
+        shape = (rows, min(rank, rows))
+        basis = rng.normal(size=shape) + (1j * rng.normal(size=shape) if is_complex else 0)
+        vectors = basis @ rng.normal(size=(shape[1], rows))
+        vectors /= np.linalg.norm(vectors, axis=0)
+        grams.append(vectors.conj().T @ vectors)
+        signed = rng.normal(size=rows)
+        weights.append(signed / np.abs(signed).sum())
+    grams, weights = np.array(grams, dtype=np.complex128), np.array(weights)
+    assert abs(analysis._stack_distance(grams, weights)
+               - _complex_stack_distance(grams, weights)) <= 1e-13
+
+
+def test_owf_keyed_solves_each_block_size_once_and_calls_no_prf_eval(monkeypatch):
+    lam, n, messages = 2, 2, ("00", "11")
+    # the (x*, r, body) blocks and their row counts, enumerated here with prf_eval
+    sizes: dict = {}
+    for m in messages:
+        for key in (int_to_bits(v, lam) for v in range(1 << lam)):
+            for xv in range(1 << lam):
+                y = prf_eval(key, int_to_bits(xv, lam), n)
+                for rv in range(1 << n):
+                    body = xor_bits(_keystream(y, int_to_bits(rv, n), len(m)), m)
+                    sizes[xv, rv, body] = sizes.get((xv, rv, body), 0) + 1
+    prf_calls = _count_prf_eval_calls(monkeypatch)
+    solves = {"eigh": [], "eigvalsh": []}
+    for name, shapes in solves.items():
+        def recording(matrix, *args, _solve=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(matrix.shape)
+            return _solve(matrix, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    analysis.optimal_advantage("owf", lam, 1, messages, output_qubits=n)
+    assert prf_calls == []
+    eigh_rows = [shape[-1] for shape in solves["eigh"]]
+    assert sorted(eigh_rows) == sorted(set(sizes.values()))
+    assert [shape[-1] for shape in solves["eigvalsh"]] == eigh_rows
+
+
+def test_prfs_keyed_takes_the_payloads_from_the_key_states(monkeypatch):
+    calls = []
+    gen = PhasePrfs.gen
+    monkeypatch.setattr(PhasePrfs, "gen", lambda self, *args: calls.append(args) or gen(self, *args))
+    analysis.optimal_advantage("prfs", 3, 1, ("0", "1"), output_qubits=2)
+    # one call per (key, x) while the 8 key states are built, none afterwards
+    assert len(calls) == 64 == len(set(calls))
 
 
 @pytest.mark.parametrize(
