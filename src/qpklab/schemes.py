@@ -125,6 +125,7 @@ class QpkeScheme:
         (`consumed`, `residue`).
         """
         if self._last_public is None or self._last_public[0] != dk.bits:
+            self._last_public = None  # a rebuild holds one key state, not two
             state = self._public_state(dk)
             state.amplitudes.setflags(write=False)
             self._last_public = (dk.bits, state)

@@ -20,6 +20,11 @@ its caller computes in one call for all x; the OWF key and the PRFSPD slot
 state are such graph states. `measure_control` measures x on any number of
 copies of one controlled state from one control marginal, and renormalizes
 each outcome's slice alone, with no full-size post-measurement vector.
+
+A computational-basis draw (`sample_outcome`, `measure_control`) cumulates the
+Born probabilities of the nonzero outcomes only, and gives the bits that
+`rng.choice` gives over all of them: a graph-state key has 2^lambda nonzero
+amplitudes among 2^(lambda+n).
 """
 
 from __future__ import annotations
@@ -230,7 +235,8 @@ def _register_block(vec: np.ndarray, wires: WireRange, value: int) -> np.ndarray
 def born_probabilities(state: PureState, wires: WireRange) -> np.ndarray:
     """Marginal outcome probabilities for measuring `wires` in the computational basis."""
     wires.check_fits(state.qubit_count)
-    view = _register_view(np.abs(state.amplitudes) ** 2, wires)
+    probs = np.abs(state.amplitudes)
+    view = _register_view(np.square(probs, out=probs), wires)
     # a sum over a size-1 axis copies the array the slow way; skip those axes
     spread = tuple(axis for axis in (0, 2) if view.shape[axis] > 1)
     return view.sum(axis=spread).reshape(-1) if spread else view.reshape(-1)
@@ -252,30 +258,36 @@ def project(state: PureState, wires: WireRange, outcome: str):
     return prob, PureState(state.qubit_count, amps / np.sqrt(prob))
 
 
-def _born_cdf(state: PureState, wires: WireRange) -> np.ndarray:
-    """Normalised cumulative sum of the Born probabilities of `wires`.
+def _born_cdf(state: PureState, wires: WireRange):
+    """Outcomes of `wires` with nonzero probability, and their normalised CDF.
 
-    `searchsorted(rng.random(), side="right")` on it draws what
-    `rng.choice(len(p), p=p)` draws, without that call's validation passes.
-    The steps run in place: each fresh 2^q-entry temporary costs page faults.
+    Returns (support, cdf): `support[cdf.searchsorted(rng.random(),
+    side="right")]` draws what `rng.choice(len(p), p=p)` draws, without that
+    call's validation passes. Only the support is cumulated, and the draw is
+    the same bits: adding an exact 0.0 leaves a sequential running sum as it
+    is, and the first CDF entry above u always sits at a jump, which is a
+    support index.
     """
     probs = born_probabilities(state, wires)
     total = probs.sum()
     assert abs(total - 1.0) < 1e-8
-    probs /= total
-    cdf = np.cumsum(probs, out=probs)
+    # nonzero() of the boolean mask is several times faster than flatnonzero
+    support = (probs != 0).nonzero()[0]
+    cdf = probs[support]
+    cdf /= total
+    cdf.cumsum(out=cdf)
     cdf /= cdf[-1]
-    return cdf
+    return support, cdf
 
 
 def sample_outcome(state: PureState, wires: WireRange, rng: np.random.Generator) -> str:
     """Born-rule outcome of measuring `wires`, for callers that discard the post-state.
 
-    One `rng.random()` looked up in the cumulative distribution: the draw of
-    `rng.choice(len(p), p=p)`.
+    One `rng.random()` looked up in the CDF over the nonzero outcomes: the
+    draw of `rng.choice(len(p), p=p)`.
     """
-    cdf = _born_cdf(state, wires)
-    return int_to_bits(int(cdf.searchsorted(rng.random(), side="right")), wires.width)
+    support, cdf = _born_cdf(state, wires)
+    return int_to_bits(int(support[cdf.searchsorted(rng.random(), side="right")]), wires.width)
 
 
 def measure_computational(state: PureState, wires: WireRange, rng: np.random.Generator):
@@ -293,15 +305,16 @@ def measure_control(state: PureState, control_width: int, rng: np.random.Generat
     Yields (x, block) once per copy, lazily: each copy draws one
     `rng.random()` when it is requested, so a caller may interleave its own
     draws and still get what `copies` single-copy measurements would give.
-    The control marginal and its CDF are computed once, for all copies. The
-    block is the renormalized state left on the wires below the control,
-    sliced out of the amplitudes with no full-size post-measurement state.
+    The control marginal and its CDF over the nonzero outcomes are computed
+    once, for all copies. The block is the renormalized state left on the
+    wires below the control, sliced out of the amplitudes with no full-size
+    post-measurement state.
     Single-copy callers take `next(...)`.
     """
     wires = WireRange(state.qubit_count - control_width, control_width)
-    cdf = _born_cdf(state, wires)
+    support, cdf = _born_cdf(state, wires)
     for _ in range(copies):
-        xv = int(cdf.searchsorted(rng.random(), side="right"))
+        xv = int(support[cdf.searchsorted(rng.random(), side="right")])
         block = _register_block(state.amplitudes, wires, xv)
         prob = float(np.vdot(block, block).real)
         assert prob > ATOL_EXACT**2, "sampled outcome has zero projection"
@@ -327,9 +340,30 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
+# 1 - F below which `trace_distance` sums the residual instead of sqrt(1 - F)
+_RESIDUAL_CUT = 1e-4
+_RESIDUAL_CHUNK = 1 << 12
+
+
 def trace_distance(a: PureState, b: PureState) -> float:
-    """sqrt(1 - F), the trace distance of two pure states."""
-    return float(np.sqrt(max(0.0, 1.0 - fidelity(a, b))))
+    """The trace distance of two pure states: sqrt(1 - F).
+
+    Near F = 1 that form loses digits to the rounding of F (it gives 1.5e-8
+    for a state and itself), so where 1 - F is below `_RESIDUAL_CUT` the same
+    distance is taken as the norm of a's component orthogonal to b,
+    ||a - c b|| / ||a|| with c = <b|a> / <b|b>. The residual is summed in
+    chunks, so no full-size temporary is allocated.
+    """
+    f = fidelity(a, b)
+    if 1.0 - f >= _RESIDUAL_CUT:
+        return float(np.sqrt(1.0 - f))
+    va, vb = a.amplitudes, b.amplitudes
+    c = np.vdot(vb, va) / np.vdot(vb, vb).real
+    residual2 = 0.0
+    for start in range(0, len(va), _RESIDUAL_CHUNK):
+        r = va[start:start + _RESIDUAL_CHUNK] - c * vb[start:start + _RESIDUAL_CHUNK]
+        residual2 += np.vdot(r, r).real
+    return float(np.sqrt(residual2 / np.vdot(va, va).real))
 
 
 def swap_test(a: PureState, b: PureState, rng: np.random.Generator) -> int:

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,21 @@ def test_qpk_gen_repeatable(factory):
     c = scheme.qpk_gen(other)
     assert c.state is not a.state
     assert abs(sim.fidelity(c.state, a.state) - 1.0) > 1e-6
+
+
+def test_qpk_gen_releases_the_old_key_before_building_the_next(monkeypatch):
+    scheme = OwfScheme(4)
+    old = weakref.ref(scheme.qpk_gen(DecryptionKey("0101")).state)
+    build = scheme._public_state
+    alive_at_build = []
+
+    def recording_build(dk):
+        alive_at_build.append(old() is not None)
+        return build(dk)
+
+    monkeypatch.setattr(scheme, "_public_state", recording_build)
+    scheme.qpk_gen(DecryptionKey("1010"))
+    assert alive_at_build == [False]
 
 
 def test_prfs_qpk_matches_isometry():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from qpklab import sim
 from qpklab.bits import bits_to_int, int_to_bits
-from qpklab.primitives import prf_eval
-from qpklab.schemes import DecryptionKey, OwfScheme
+from qpklab.primitives import PrfspdParams, ToyPrfspd, prf_eval
+from qpklab.schemes import DecryptionKey, OwfScheme, PrfspdScheme
 from qpklab.sim import (
     DimensionMismatchError,
     EmptyProjectionError,
@@ -200,6 +201,55 @@ def test_sample_outcome_matches_rng_choice_over_seeds():
             assert rng_a.random() == rng_b.random()
 
 
+def _zero_ends_state():
+    amps = sim.haar_random_state(6, np.random.default_rng(5)).amplitudes.copy()
+    amps[[0, 17, 18, 63]] = 0.0
+    return PureState(6, amps / np.linalg.norm(amps))
+
+
+def _zero_control_state():
+    control = PureState(2, np.array([0.0, 0.6, 0.8j, 0.0]))
+    rng = np.random.default_rng(6)
+    return sim.controlled_state(control, 3, lambda x: sim.haar_random_state(3, rng).amplitudes)
+
+
+@pytest.mark.parametrize("build,control_width", [
+    (lambda: OwfScheme(7).qpk_gen(DecryptionKey("1011001")).state, None),
+    (lambda: PrfspdScheme(4, ToyPrfspd(PrfspdParams(4, 4, 1, 2))).qpk_gen(
+        DecryptionKey("0110")).state, None),
+    (_zero_ends_state, None),
+    (lambda: sim.basis_state(5, "10110"), None),
+    (_zero_control_state, 2),
+], ids=["owf-odd-lambda", "prfspd-slot", "zero-ends", "basis", "zero-control"])
+def test_support_draws_match_rng_choice_over_seeds(build, control_width):
+    """Full-register `sample_outcome`, or `measure_control` where a control width is given."""
+    state = build()
+    if control_width is None:
+        wires = state.full_range()
+        draw = lambda rng: sim.sample_outcome(state, wires, rng)
+    else:
+        wires = WireRange(state.qubit_count - control_width, control_width)
+        draw = lambda rng: next(sim.measure_control(state, control_width, rng))[0]
+    probs = sim.born_probabilities(state, wires)
+    p = probs / probs.sum()
+    for seed in range(1000):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert draw(rng_a) == int_to_bits(int(rng_b.choice(len(p), p=p)), wires.width)
+        assert rng_a.random() == rng_b.random()
+
+
+def test_full_register_draw_holds_one_probability_vector():
+    state = OwfScheme(8).qpk_gen(DecryptionKey("10110010")).state
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        sim.sample_outcome(state, state.full_range(), rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (1 << 16) * 8
+
+
 def test_project_zero_probability():
     prob, post = sim.project(sim.basis_state(2, "00"), WireRange(0, 2), "11")
     assert prob == 0.0 and post is None
@@ -298,6 +348,14 @@ def test_trace_distance_trivials(rng):
     s = sim.haar_random_state(2, rng)
     assert sim.trace_distance(s, s) == 0.0
     assert abs(sim.trace_distance(sim.basis_state(1, "0"), sim.basis_state(1, "1")) - 1.0) < 1e-12
+
+
+def test_trace_distance_of_identical_states_is_accurate(rng):
+    for q in (1, 3, 5, 10):
+        for _ in range(20):
+            a = sim.haar_random_state(q, rng)
+            assert sim.trace_distance(a, PureState(q, a.amplitudes.copy())) <= 1e-15
+            assert sim.trace_distance(a, PureState(q, np.exp(0.3j) * a.amplitudes)) <= 1e-15
 
 
 def test_trace_distance_matches_half_trace_norm(rng):
