@@ -10,6 +10,9 @@ structure only.
 Every value is exact; each oracle works only on the support that carries
 amplitude or rank:
 
+- the punctured-key cross-check tensors p copies of the key's 2^lam support
+  amplitudes, 2^(p*lam) entries in place of 2^(p(lam+n)); its capacity guard
+  stays at the p(lam+n) qubits of the dense copies it stands for;
 - the commuting check measures by sequential projections that keep only the
   measured register's block, never a zero-padded full-size vector;
 - keyed Helstrom values work from Gram matrices: p key copies are the power
@@ -73,19 +76,29 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
     """Cross-check path: build the key and its punctured version explicitly.
 
     Takes the OWF scheme's public key |qpk> = sum_x |x>|f_dk(x)> and the
-    renormalized state with x* projected out, tensors p copies of each, and
-    returns their trace distance.
+    renormalized state with x* projected out, and returns the trace distance
+    of p copies of each. Both states are zero off the key's support S, the
+    2^lam cells (x, f_dk(x)), so the copies are tensored on S alone: the
+    inner product over S^p is the one over the full 2^(p(lam+n)) entries.
+    Restricting to S is itself checked: the restricted vectors must have
+    2^lam entries and unit norm, so mass off S raises. The capacity guard
+    stays at the p(lam+n) qubits of the state this check stands for.
     """
-    if copies < 1:
-        return 0.0
+    if copies < 0:
+        raise ValueError("copy count must be nonnegative")
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
+    check_bits(dk_bits, lam)
+    if copies == 0:
+        return 0.0
     x_star = x_star if x_star is not None else "0" * lam
     n = prf_output_width
     sim.check_capacity(copies * (lam + n), "explicit tensor construction")
     qpk = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk_bits)).state
     punctured = sim.puncture(qpk, x_star, WireRange(n, lam))
-    full = reduce(sim.tensor, [qpk] * copies)
-    full_punct = reduce(sim.tensor, [punctured] * copies)
+    support = np.flatnonzero(qpk.amplitudes)
+    key, key_punct = (PureState(lam, state.amplitudes[support]) for state in (qpk, punctured))
+    full = reduce(sim.tensor, [key] * copies)
+    full_punct = reduce(sim.tensor, [key_punct] * copies)
     return sim.trace_distance(full, full_punct)
 
 
@@ -182,6 +195,7 @@ def commuting_measurement_check(lam: int, copies: int = 2,
     if lam > 3:
         raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
+    check_bits(dk_bits, lam)
     joint, ranges = _joint_key_state(lam, copies, dk_bits)
     measure_last = _joint_distribution(joint, ranges[1:] + ranges[:1])
     measure_first = _joint_distribution(joint, ranges)

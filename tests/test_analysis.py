@@ -307,8 +307,74 @@ def test_punctured_explicit_cross_check(lam, copies):
 
 
 def test_punctured_explicit_capacity():
-    with pytest.raises(sim.CapacityError):
-        analysis.punctured_key_distance_explicit(6, 4)
+    # the guard counts the p(lam + n) qubits of the dense copies, not the p*lam
+    # of the support the check tensors
+    for lam in range(2, 7):
+        for copies in range(1, 5):
+            if copies * (lam + 2) > sim.q_max():
+                with pytest.raises(sim.CapacityError):
+                    analysis.punctured_key_distance_explicit(lam, copies)
+            else:
+                analysis.punctured_key_distance_explicit(lam, copies)
+
+
+def test_punctured_explicit_input_checks():
+    assert analysis.punctured_key_distance_explicit(3, 0) == 0.0
+    with pytest.raises(ValueError):
+        analysis.punctured_key_distance_explicit(3, -2)
+    for dk_bits in ("1", "1010", "12"):
+        with pytest.raises(ValueError):
+            analysis.punctured_key_distance_explicit(3, 2, dk_bits=dk_bits)
+        with pytest.raises(ValueError):
+            analysis.punctured_key_distance_explicit(3, 0, dk_bits=dk_bits)
+
+
+def _dense_punctured_distance(lam, copies, n, dk_bits, x_star):
+    qpk = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk_bits)).state
+    punctured = sim.puncture(qpk, x_star, WireRange(n, lam))
+    q = copies * (lam + n)
+    return sim.trace_distance(sim.PureState(q, _tensor_power(qpk.amplitudes, copies)),
+                              sim.PureState(q, _tensor_power(punctured.amplitudes, copies)))
+
+
+def test_punctured_explicit_matches_dense_copies():
+    rng = np.random.default_rng(17)
+    for lam, copies, n in itertools.product(range(1, 7), range(1, 5), (1, 2, 3)):
+        if copies * (lam + n) > 16:
+            continue
+        for _ in range(3):
+            dk_bits, x_star = (int_to_bits(int(v), lam) for v in rng.integers(1 << lam, size=2))
+            got = analysis.punctured_key_distance_explicit(lam, copies, n, dk_bits, x_star)
+            dense = _dense_punctured_distance(lam, copies, n, dk_bits, x_star)
+            assert abs(got - dense) <= 1e-13, (lam, copies, n, dk_bits, x_star)
+
+
+def test_punctured_explicit_stays_on_the_support():
+    # 4 copies of a 5-qubit key are 2^20 dense amplitudes (16 MB), 4096 on the support
+    tracemalloc.start()
+    try:
+        analysis.punctured_key_distance_explicit(3, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_punctured_explicit_rejects_mass_off_the_support(monkeypatch):
+    lam, n = 3, 2
+    puncture = sim.puncture
+
+    def leaky_puncture(state, marked, wires):
+        amps = puncture(state, marked, wires).amplitudes.copy()
+        cell = int(np.flatnonzero(amps)[0])
+        # half of one support cell's mass moves to (x, y ^ 1), where y = f(x)
+        amps[cell] /= np.sqrt(2.0)
+        amps[cell ^ 1] = amps[cell]
+        return sim.PureState(state.qubit_count, amps)
+
+    monkeypatch.setattr(sim, "puncture", leaky_puncture)
+    with pytest.raises(ValueError, match="not normalized"):
+        analysis.punctured_key_distance_explicit(lam, 2, n)
 
 
 def test_punctured_explicit_key_independent():
@@ -354,6 +420,12 @@ def test_joint_distribution_keeps_the_bits_of_the_renormalizing_recursion(lam, c
         for order in (ranges, ranges[1:] + ranges[:1]):
             assert (analysis._joint_distribution(joint, order)
                     == _renormalizing_joint_distribution(joint, order))
+
+
+def test_commuting_check_rejects_a_key_of_the_wrong_width():
+    for dk_bits in ("1", "101"):
+        with pytest.raises(ValueError):
+            analysis.commuting_measurement_check(2, dk_bits=dk_bits)
 
 
 def test_commuting_capacity():
