@@ -15,13 +15,13 @@ amplitude or rank:
   stays at the p(lam+n) qubits of the dense copies it stands for;
 - the commuting check measures by sequential projections that keep only the
   measured register's block, never a zero-padded full-size vector;
-- keyed Helstrom values work from Gram matrices: p key copies are the power
-  C^p of the key-state overlaps, one block per classical label (x* or (x*, r,
-  body)), blocks of one size solved as one stack, and each block's
-  eigenvalues below 1e-12 times its largest are dropped;
-- the random-function Helstrom value uses rho1 = w*I and the spectrum of
-  rho0, whose x* blocks are permutations of one another: block 0 is built
-  and solved once.
+- Helstrom values solve the schemes' `challenge_ensemble` from Gram
+  matrices: p key copies are the power C^p of the key-state overlaps, one
+  block per label (x* or (x*, r, body)), blocks of one size solved as one
+  stack, each block's eigenvalues below 1e-12 times its largest dropped;
+- the `prfs` random-function Helstrom value uses rho1 = w*I and the spectrum
+  of rho0, whose x* blocks are permutations of one another: block 0 is
+  built and solved once.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from functools import reduce
 import numpy as np
 
 from . import sim
-from .bits import check_bits, int_to_bits, xor_bits
-from .primitives import PhasePrfs, PrfsParams, _keystream, prf_table
-from .schemes import DecryptionKey, OwfScheme
+from .bits import check_bits, int_to_bits
+from .primitives import PhasePrfs, PrfsParams, StreamSke
+from .schemes import ChallengeEnsemble, DecryptionKey, OwfScheme, PrfsScheme
 from .sim import PureState, WireRange
 
 
@@ -192,6 +192,8 @@ def commuting_measurement_check(lam: int, copies: int = 2,
     projections (see `_joint_distribution`). The two orderings must
     coincide; the report carries their total-variation distance.
     """
+    if copies < 0:
+        raise ValueError("copy count must be nonnegative")
     if lam > 3:
         raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
@@ -224,8 +226,7 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridR
     vals = ["0", "1"]
 
     # the answers depend only on the key and the nonces: tabulate them once
-    bodies_of = {(key, r): xor_bits(_keystream(key, r, len(message)), message)
-                 for key in vals for r in vals}
+    bodies_of = {(key, r): StreamSke().seal(key, r, message).body for key in vals for r in vals}
     answers_of = {key: [tuple((r, bodies_of[key, r]) for r in nonces)
                         for nonces in itertools.product(vals, repeat=queries)]
                   for key in vals}
@@ -249,12 +250,6 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridR
 # Relative cut for a Gram block's eigenvalues: blocks are rank-deficient (at
 # p=0 always), and the square root of their rounding noise would reach the value.
 _RANK_TOL = 1e-12
-
-
-def _check_gram_budget(entries: int) -> None:
-    """Key states and Gram blocks may hold no more entries than a q_max-qubit state."""
-    if entries > 1 << sim.q_max():
-        raise sim.CapacityError(f"Gram path needs {entries} entries, more than 2^{sim.q_max()}")
 
 
 # Gram blocks of one size are solved as (blocks, r, r) stacks of at most this
@@ -284,87 +279,28 @@ def _stack_distance(grams: np.ndarray, weights: np.ndarray) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
-def _gram_distance(key_states: np.ndarray, copies: int, terms0, terms1) -> float:
-    """Trace distance of two mixtures of |qpk_k>^p (x) |label> (x) |payload>.
+def _gram_distance(ensemble: ChallengeEnsemble, copies: int) -> float:
+    """Trace distance of the two challenge ensembles for `copies` key copies.
 
-    The terms are (label, weight, k, payload) with k a row of `key_states`.
     Inner products factor as C[k,k']^p * delta_label * <payload|payload'>
-    with C the key-state overlaps: the copies are an exponent on C, and each
-    classical label is a block of its own. Blocks with the same row count
-    are solved together (`_stack_distance`).
+    with C the key-state overlaps, so each label is a block; blocks of one
+    row count are solved together (`_stack_distance`) in order of first term.
     """
-    overlap = (key_states.conj() @ key_states.T) ** copies
-    blocks: dict = {}
-    for sign, terms in ((1.0, terms0), (-1.0, terms1)):
-        for label, weight, k, payload in terms:
-            blocks.setdefault(label, []).append((sign * weight, k, payload))
-    by_size: dict = {}
-    for rows in blocks.values():
-        by_size.setdefault(len(rows), []).append(rows)
+    overlap = (ensemble.key_states.conj() @ ensemble.key_states.T) ** copies
+    _, first, inverse = np.unique(ensemble.labels, axis=0, return_index=True, return_inverse=True)
+    block = np.argsort(np.argsort(first))[inverse.ravel()]
+    terms, sizes = np.argsort(block, kind="stable"), np.bincount(block)
     total = 0.0
-    for size, group in by_size.items():
+    for size in dict.fromkeys(sizes.tolist()):  # in order of first block
+        rows = terms[sizes[block[terms]] == size].reshape(-1, size)
         per_stack = max(1, _STACK_ENTRIES // size**2)
-        for start in range(0, len(group), per_stack):
-            stack = group[start:start + per_stack]
-            # (blocks, rows) weights and key rows, (blocks, rows, dim) payloads
-            weights, keys, payloads = (np.array(col)
-                                       for col in zip(*(zip(*rows) for rows in stack)))
+        for start in range(0, len(rows), per_stack):
+            stack = rows[start:start + per_stack]
+            keys, payloads = ensemble.keys[stack], ensemble.payloads[stack]
             grams = (overlap[keys[:, :, None], keys[:, None, :]]
                      * (payloads.conj() @ payloads.transpose(0, 2, 1)))
-            total += _stack_distance(grams, weights)
+            total += _stack_distance(grams, ensemble.weights[stack])
     return total
-
-
-def _prfs_keyed_distance(lam, copies, output_qubits, m0, m1) -> float:
-    """Keyed `prfs` ensembles: |qpk_k>^p (x) |x*> (x) payload(m) over all k, x*, one
-    block per x*. The message-0 payload |psi_{k,x*}> is block x* of the key
-    state, renormalized, as `PrfsScheme.encrypt` sends it; the mixed payload
-    I/2^n of message 1 is 2^n basis terms."""
-    d, n = lam, output_qubits
-    keys = [int_to_bits(v, lam) for v in range(1 << lam)]
-    rows = len(keys) * sum(1 if m == "0" else 1 << n for m in (m0, m1))
-    _check_gram_budget((1 << d) * rows * rows + len(keys) * (1 << (d + n)))
-    prfs = PhasePrfs(PrfsParams(lam, d, n))
-    key_states = np.array([prfs.oracle_isometry(key, sim.uniform_superposition(d)).amplitudes
-                           for key in keys])
-    states = key_states.reshape(len(keys), 1 << d, 1 << n)
-    states = states / np.linalg.norm(states, axis=2, keepdims=True)
-    weight = 1.0 / (len(keys) << d)
-
-    def terms(message):
-        for xv in range(1 << d):
-            for k in range(len(keys)):
-                if message == "0":
-                    yield xv, weight, k, states[k, xv]
-                else:
-                    for y in np.eye(1 << n):
-                        yield xv, weight / (1 << n), k, y
-
-    return _gram_distance(key_states, copies, terms(m0), terms(m1))
-
-
-def _owf_keyed_distance(lam, copies, m0, m1, n) -> float:
-    """Keyed `owf` ensembles: |qpk_k>^p (x) |x*, r, body> over key, x* and the
-    n-bit nonce, with the classical (x*, r, body) as block label and 1 as every
-    payload."""
-    keys = [int_to_bits(v, lam) for v in range(1 << lam)]
-    # each (x*, r) splits its 2 * 2^lam rows among its bodies' blocks
-    _check_gram_budget((1 << (lam + n)) * (2 << lam) ** 2 + len(keys) * (1 << (lam + n)))
-    scheme = OwfScheme(lam, prf_output_width=n)
-    key_states = np.array([scheme.qpk_gen(DecryptionKey(key)).state.amplitudes
-                           for key in keys])
-    images = [prf_table(key, np.arange(1 << lam), lam, n) for key in keys]
-    weight = 1.0 / (len(keys) << (lam + n))
-
-    def terms(message):
-        for k in range(len(keys)):
-            for xv in range(1 << lam):
-                y = int_to_bits(int(images[k][xv]), n)
-                for rv in range(1 << n):
-                    body = xor_bits(_keystream(y, int_to_bits(rv, n), len(m0)), message)
-                    yield (xv, rv, body), weight, k, np.ones(1)
-
-    return _gram_distance(key_states, copies, terms(m0), terms(m1))
 
 
 def _prfs_random_distance(lam, output_qubits, copies) -> float:
@@ -386,7 +322,7 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
         # no copy: the mixed payload and the averaged pure payload coincide
         return 0.0
     rows = 1 << (d + 2 * n)
-    _check_gram_budget(rows * rows)
+    sim.check_entries(rows * rows)
     w = 2.0 ** -(2 * (d + n))
     # An x* block has rows (k, y3) and columns (b, y4): k and b are the key
     # copy's points (x, y), 3 = (x*, y3) and 4 = (x*, y4) the payload's.
@@ -409,47 +345,30 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
 
     The value upper-bounds any adversary's game advantage (win probability
     at most (1 + value) / 2) for an adversary holding `copies` public-key
-    copies plus the challenge ciphertext. Keyed modes enumerate every key and
-    work from Gram matrices (`_gram_distance`): the copies are an elementwise
-    exponent on the key-state overlaps C, each classical label (x* for
-    `prfs`, (x*, r, body) for `owf`) is a block, the blocks of one size are
-    solved as one stack, and each block's eigenvalues below 1e-12 times its
-    largest are dropped. Their cost does not depend on `copies`; key states
-    and blocks must fit the entries of a q_max-qubit state. The random mode
-    of `prfs` uses rho1 = w*I and solves one x* block of rho0, because the
-    others are permutations of it.
-
-    `prfs` messages must be single bits and `owf` messages bitstrings of one
-    width, as the schemes encrypt; anything else raises ValueError before any
-    key is built.
+    copies plus the challenge ciphertext. The scheme enumerates both
+    ensembles (`owf` random mode: the keyless `random_function_ensemble`) and
+    `_gram_distance` solves them; the `prfs` random mode solves one x* block
+    of rho0 against rho1 = w*I, the others being permutations of it.
     """
     if copies < 0:
         raise ValueError("copy count must be nonnegative")
     m0, m1 = messages
-    if scheme == "prfs" and not {m0, m1} <= {"0", "1"}:
-        raise ValueError(f"prfs encrypts single bits, got messages {m0!r} and {m1!r}")
-    if scheme == "owf" and len(check_bits(m0)) != len(check_bits(m1)):
-        raise ValueError(f"owf messages must have one width, got {m0!r} and {m1!r}")
+    kind = {"prfs": PrfsScheme, "owf": OwfScheme}.get(scheme)
+    if kind is not None:
+        kind.check_messages(m0, m1)
     if m0 == m1:
         value = 0.0
-    elif (scheme, mode) == ("prfs", "prf"):
-        value = _prfs_keyed_distance(lam, copies, output_qubits, m0, m1)
+    elif kind is None or mode not in ("prf", "random"):
+        raise ValueError(f"no exact-advantage oracle for scheme {scheme!r} in mode {mode!r}")
     elif (scheme, mode) == ("prfs", "random"):
         value = _prfs_random_distance(lam, output_qubits, copies)
-    elif (scheme, mode) == ("owf", "prf"):
-        value = _owf_keyed_distance(lam, copies, m0, m1, output_qubits)
-    elif (scheme, mode) == ("owf", "random"):
-        if copies != 0:
-            raise ValueError("random-function mode for this scheme supports 0 copies")
-        # one-time-pad body under a fresh uniform key: enumerate the
-        # classical visible data (x*, body) for both messages
-        width = len(m0)
-        value = total_variation(*(
-            _uniform_over((xv, xor_bits(int_to_bits(zv, width), m))
-                          for xv in range(1 << lam) for zv in range(1 << width))
-            for m in (m0, m1)))
-    elif scheme in ("prfs", "owf"):
-        raise ValueError(f"unknown mode {mode!r}")
+    elif scheme == "prfs":
+        prfs = PrfsScheme(lam, PhasePrfs(PrfsParams(lam, lam, output_qubits)))
+        value = _gram_distance(prfs.challenge_ensemble(m0, m1), copies)
+    elif mode == "prf":
+        value = _gram_distance(OwfScheme(lam, output_qubits).challenge_ensemble(m0, m1), copies)
+    elif copies != 0:
+        raise ValueError("random-function mode for this scheme supports 0 copies")
     else:
-        raise ValueError(f"no exact-advantage oracle for scheme {scheme!r}")
+        value = _gram_distance(OwfScheme.random_function_ensemble(lam, m0, m1), copies)
     return EnsembleAdvantage(scheme, lam, copies, value, True, mode)

@@ -90,15 +90,6 @@ def _give_key_copies(scheme, dk, adversary, transcript):
         transcript.add_event("setup", "challenger", "qpk-copy")
 
 
-def _challenge_pair(scheme, adversary):
-    m0, m1 = adversary.choose_challenge()
-    scheme.check_message(m0)
-    scheme.check_message(m1)
-    if len(m0) != len(m1):
-        raise ProtocolViolation("challenge messages differ in length")
-    return m0, m1
-
-
 def _query_phase(scheme, adversary, qpk, rng, transcript, budget_state):
     """Drain one encryption-query phase; the adversary stops with None."""
     while True:
@@ -134,7 +125,8 @@ def _run_challenger(scheme, adversary, rng, game, chains, challenges, queries):
             for _challenge in range(challenges):
                 if queries:
                     qpk = _query_phase(scheme, adversary, qpk, rng, transcript, budget_state)
-                m0, m1 = _challenge_pair(scheme, adversary)
+                m0, m1 = adversary.choose_challenge()
+                scheme.check_messages(m0, m1)
                 transcript.challenge = (m0, m1)
                 transcript.add_event("challenge", "adversary", f"{m0},{m1}")
                 qpk, ct = scheme.encrypt(qpk, (m0, m1)[b], rng)

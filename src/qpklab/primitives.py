@@ -141,9 +141,11 @@ class StreamSke:
         check_bits(message)
         if not key:
             raise ValueError("empty symmetric key")
-        nonce = self._nonce(key, rng)
-        pad = _keystream(key, nonce, len(message))
-        return SkeCiphertext(nonce, xor_bits(pad, message))
+        return self.seal(key, self._nonce(key, rng), message)
+
+    def seal(self, key: str, nonce: str, message: str) -> SkeCiphertext:
+        """The ciphertext of `message` under a given nonce; `encrypt` draws the nonce."""
+        return SkeCiphertext(nonce, xor_bits(_keystream(key, nonce, len(message)), message))
 
     def decrypt(self, key: str, ct: SkeCiphertext) -> str:
         check_bits(key)

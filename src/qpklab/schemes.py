@@ -11,9 +11,11 @@ which neither calls nor fills the family's `gen` cache); the PRFS key is
 assembled from `PhasePrfs.gen` states by `sim.controlled_state`. The lambda
 PRFSPD slots are measured from one control marginal by
 `sim.measure_control(..., copies=lambda)`. Every quantum object is pure; a
-mixed state is an ensemble that is sampled. Each scheme's keyed primitive is
-swapped with `prf=`: on `OwfScheme` itself, and on the `PhasePrfs` or
-`ToyPrfspd` family a scheme is built from.
+mixed state is an ensemble that is sampled, and the IND-CPA challenges of
+`owf` and `prfs` are enumerated next to `encrypt` by `challenge_ensemble`,
+arrays built from `qpk_gen` and the cipher for `analysis` to solve. Each
+scheme's keyed primitive is swapped with `prf=`: on `OwfScheme` itself, and
+on the `PhasePrfs` or `ToyPrfspd` family a scheme is built from.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
   the outcome, and symmetric-encrypts under the measured PRF value. Classical
@@ -36,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from . import sim
-from .bits import check_bits, int_to_bits, pack_bits, random_bits, unpack_bits
+from .bits import bits_to_int, check_bits, int_to_bits, pack_bits, random_bits, unpack_bits
 from .primitives import (
     PhasePrfs,
     SkeCiphertext,
@@ -79,6 +81,20 @@ class QuantumPublicKey:
     state: sim.PureState
     consumed: bool = False
     residue: object = None
+
+
+@dataclass(frozen=True)
+class ChallengeEnsemble:
+    """Both challenge ensembles: term i is |key_states[keys[i]]>^p (x) |labels[i]> (x)
+    |payloads[i]> for p key copies at weight weights[i], > 0 for m0 and < 0 for m1,
+    each message's summing to 1. Labels are int rows; a body is its index in `bodies`, if set."""
+
+    key_states: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+    keys: np.ndarray
+    payloads: np.ndarray
+    bodies: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -141,8 +157,22 @@ class QpkeScheme:
     def decrypt(self, dk: DecryptionKey, ct, rng: np.random.Generator | None = None) -> str:
         raise NotImplementedError
 
-    def check_message(self, message: str) -> str:
+    @staticmethod
+    def check_message(message: str) -> str:
         return check_bits(message)
+
+    @classmethod
+    def check_messages(cls, m0: str, m1: str) -> int:
+        """The width of a challenge pair: two messages the scheme encrypts, of one width."""
+        if len(cls.check_message(m0)) != len(cls.check_message(m1)):
+            raise SchemeError(f"challenge messages must have one width, got {m0!r} and {m1!r}")
+        return len(m0)
+
+    def _key_states(self) -> np.ndarray:
+        """The public-key state of every decryption key, one row each, in key order."""
+        lam = self.security_param
+        return np.array([self.qpk_gen(DecryptionKey(int_to_bits(v, lam))).state.amplitudes
+                         for v in range(1 << lam)])
 
     def _check_ciphertext(self, ct, kind):
         """Reject a classical ciphertext of another scheme or security parameter."""
@@ -190,6 +220,36 @@ class OwfScheme(QpkeScheme):
             qpk.residue = (outcome[:lam], outcome[lam:])
         x, y = qpk.residue
         return qpk, self._ciphertext_for(y, x, message, rng)
+
+    def challenge_ensemble(self, m0: str, m1: str) -> ChallengeEnsemble:
+        """Every (key k, x*, nonce r) as the label (x*, r, body) that `encrypt` sends, payload
+        1; f_k(x*) is read off the key's support. Only a plain `StreamSke` is enumerated."""
+        self.check_messages(m0, m1)
+        if type(self.ske) is not StreamSke:
+            raise CapabilityError("challenge ensembles enumerate a plain StreamSke's nonces only")
+        lam, n = self.security_param, self.prf_output_width
+        # each (x*, r) splits its 2 * 2^lam rows among its bodies' blocks
+        sim.check_entries((1 << (lam + n)) * (2 << lam) ** 2 + (1 << (2 * lam + n)))
+        key_states = self._key_states()
+        i, k, x, r = np.indices((2, 1 << lam, 1 << lam, 1 << n)).reshape(4, -1)  # i: message
+        y = key_states.reshape(1 << lam, 1 << lam, 1 << n).nonzero()[2].reshape(1 << lam, -1)[k, x]
+        sealed = [self.ske.seal(int_to_bits(yv, n), int_to_bits(rv, n), (m0, m1)[iv]).body
+                  for iv, yv, rv in zip(i.tolist(), y.tolist(), r.tolist())]
+        bodies, numbers = np.unique(sealed, return_inverse=True)
+        return ChallengeEnsemble(key_states, np.stack([x, r, numbers], axis=1),
+                                 (1 - 2 * i) / (i.size // 2), k, np.ones((i.size, 1)), bodies)
+
+    @classmethod
+    def random_function_ensemble(cls, lam: int, m0: str, m1: str) -> ChallengeEnsemble:
+        """The ensembles for a truly random f_k and no key copy: no key state, and the
+        body a one-time pad z xor m under uniform z, labelled (x*, body value)."""
+        width = cls.check_messages(m0, m1)
+        sim.check_entries(4 << (lam + width))  # one term per message in each label
+        i, x, z = np.indices((2, 1 << lam, 1 << width)).reshape(3, -1)
+        bodies = z ^ np.array([bits_to_int(m0), bits_to_int(m1)])[i]
+        return ChallengeEnsemble(np.ones((1, 1)), np.stack([x, bodies], axis=1),
+                                 (1 - 2 * i) / (i.size // 2), np.zeros_like(i),
+                                 np.ones((i.size, 1)))
 
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme1Ciphertext)
@@ -278,7 +338,8 @@ class PrfsScheme(QpkeScheme):
         self.prfs = prfs
         sim.check_capacity(prfs.params.input_width + prfs.params.output_qubits, "public key")
 
-    def check_message(self, message: str) -> str:
+    @staticmethod
+    def check_message(message: str) -> str:
         if message not in ("0", "1"):
             raise SchemeError("message must be a single bit")
         return message
@@ -301,6 +362,26 @@ class PrfsScheme(QpkeScheme):
         payload = block if message == "0" else sim.basis_state(n, random_bits(n, rng))
         qpk.consumed = True
         return qpk, Scheme3Ciphertext(x, payload)
+
+    def challenge_ensemble(self, m0: str, m1: str) -> ChallengeEnsemble:
+        """Every (key k, x*), labelled x*: message 0 sends block x* of the key state,
+        renormalized, and the mixed payload of message 1 is 2^n basis states."""
+        self.check_messages(m0, m1)
+        d, n = self.prfs.params.input_width, self.prfs.params.output_qubits
+        keys, inputs, outputs = 1 << self.security_param, 1 << d, 1 << n
+        rows = keys * sum(1 if m == "0" else outputs for m in (m0, m1))
+        sim.check_entries(inputs * rows * rows + keys * inputs * outputs)
+        key_states = self._key_states()
+        states = key_states.reshape(keys, inputs, outputs)
+        states = states / np.linalg.norm(states, axis=2, keepdims=True)
+        x, k, y = np.indices((inputs, keys, outputs)).reshape(3, -1)
+        weight, x0, k0 = 1.0 / (keys * inputs), x[y == 0], k[y == 0]
+        terms = {"0": (x0, weight, k0, states[k0, x0]),
+                 "1": (x, weight / outputs, k, np.eye(outputs)[y])}
+        (xa, wa, ka, pa), (xb, wb, kb, pb) = terms[m0], terms[m1]
+        return ChallengeEnsemble(key_states, np.concatenate([xa, xb])[:, None],
+                                 np.concatenate([np.full(xa.size, wa), np.full(xb.size, -wb)]),
+                                 np.concatenate([ka, kb]), np.concatenate([pa, pb]))
 
     def decrypt(self, dk, ct, rng=None):
         if not isinstance(ct, Scheme3Ciphertext):

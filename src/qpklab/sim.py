@@ -61,6 +61,12 @@ def check_capacity(qubit_count: int, what: str) -> None:
         raise CapacityError(f"{what} needs {qubit_count} qubits, outside [1, {q_max()}]")
 
 
+def check_entries(entries: int) -> None:
+    """Key states and Gram blocks may hold no more entries than a q_max-qubit state."""
+    if entries > 1 << q_max():
+        raise CapacityError(f"Gram path needs {entries} entries, more than 2^{q_max()}")
+
+
 class DimensionMismatchError(ValueError):
     """Operands act on different numbers of qubits."""
 

@@ -428,6 +428,16 @@ def test_commuting_check_rejects_a_key_of_the_wrong_width():
             analysis.commuting_measurement_check(2, dk_bits=dk_bits)
 
 
+@pytest.mark.parametrize("copies", [-1, -2])
+def test_commuting_check_rejects_negative_copies(monkeypatch, copies):
+    def fail(*args, **kwargs):
+        raise AssertionError("state built before the copy count was checked")
+
+    monkeypatch.setattr(OwfScheme, "qpk_gen", fail)
+    with pytest.raises(ValueError, match="copy count must be nonnegative"):
+        analysis.commuting_measurement_check(2, copies=copies)
+
+
 def test_commuting_capacity():
     with pytest.raises(sim.CapacityError):
         analysis.commuting_measurement_check(4)
@@ -546,6 +556,25 @@ def test_owf_random_mode_no_copies_zero():
     assert adv.value < 1e-12
     with pytest.raises(ValueError):
         analysis.optimal_advantage("owf", 2, 1, ("00", "11"), mode="random")
+
+
+def test_owf_random_mode_checks_its_budget_before_enumerating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.CapacityError):
+            analysis.optimal_advantage("owf", 2, 0, ("0" * 70, "1" * 70), mode="random")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 2^18 labels of two rows each: 2^20 entries, the default budget exactly
+    adv = analysis.optimal_advantage("owf", 2, 0, ("0" * 16, "1" * 16), mode="random")
+    assert adv.value <= 1e-12
+
+
+def test_owf_keyed_numbers_bodies_wider_than_an_int64():
+    adv = analysis.optimal_advantage("owf", 2, 1, ("0" * 70, "1" * 70), output_qubits=2)
+    assert adv.value == 0.9999999999999998
 
 
 def test_owf_prf_mode_bound_sane():

@@ -7,17 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpklab import sim
+from qpklab import schemes, sim
 from qpklab.bits import int_to_bits, random_bits
+from qpklab.games import wilson_interval
 from qpklab.primitives import (
+    FixedNonceSke,
     PhasePrfs,
     PrfsParams,
     PrfspdParams,
     SkeCiphertext,
+    StreamSke,
     ToyPrfspd,
     prf_eval,
 )
 from qpklab.schemes import (
+    CapabilityError,
     DecryptionKey,
     KeyConsumedError,
     OwfScheme,
@@ -503,3 +507,119 @@ def test_single_byte_mutation_is_rejected_or_canonical(data, position, value):
     except SchemeError:
         return
     assert serialize_ciphertext(ct) == mutated
+
+
+# --- challenge ensembles ------------------------------------------------------
+
+
+def _owf_label(ensemble, ct):
+    number = int(np.searchsorted(ensemble.bodies, ct.body.body))
+    assert ensemble.bodies[number:number + 1].tolist() == [ct.body.body], (
+        f"body {ct.body.body} is in no ensemble label")
+    return (int(ct.x, 2), int(ct.body.nonce, 2), number), None
+
+
+def _prfs_label(ensemble, ct):
+    return (int(ct.x, 2),), ct.payload.amplitudes
+
+
+def _check_ensemble_against_encrypt(scheme, messages, label_of, draws=2000, seed=11):
+    """Sample `encrypt` under uniformly drawn keys and hold it to the ensemble.
+
+    Each sampled (key, label) must be a row of its message with nonzero
+    weight, and each sampled payload bitwise equal to one of that row's
+    payloads. Each label's frequency must fall inside its z=5 Wilson
+    interval around the label's ensemble weight, for every label of the
+    ensemble and every label sampled.
+    """
+    ensemble = scheme.challenge_ensemble(*messages)
+    rows: dict = {}
+    for i, (weight, k, label) in enumerate(zip(ensemble.weights, ensemble.keys,
+                                              map(tuple, ensemble.labels.tolist()))):
+        rows.setdefault((weight > 0, int(k), label), []).append(i)
+    rng = np.random.default_rng(seed)
+    for positive, message in ((True, messages[0]), (False, messages[1])):
+        counts: dict = {}
+        for _ in range(draws):
+            dk = scheme.gen(rng)
+            _, ct = scheme.encrypt(scheme.qpk_gen(dk), message, rng)
+            label, payload = label_of(ensemble, ct)
+            terms = rows.get((positive, int(dk.bits, 2), label), [])
+            assert any(ensemble.weights[i] != 0 for i in terms), (
+                f"message {message}: key {dk.bits} with label {label} is no ensemble row")
+            if payload is not None:
+                assert any(ensemble.payloads[i].tobytes() == payload.tobytes() for i in terms)
+            counts[label] = counts.get(label, 0) + 1
+        mass: dict = {}
+        for (sign, _, label), terms in rows.items():
+            if sign == positive:
+                mass[label] = mass.get(label, 0.0) + np.abs(ensemble.weights[terms]).sum()
+        for label in mass.keys() | counts.keys():
+            lo, hi = wilson_interval(counts.get(label, 0), draws, 5.0)
+            assert lo <= mass.get(label, 0.0) <= hi, (
+                f"message {message}: label {label} drawn {counts.get(label, 0)} of {draws} "
+                f"times, ensemble weight {mass.get(label, 0.0)}")
+
+
+@pytest.mark.parametrize("scheme,messages,label_of", [
+    (OwfScheme(2, prf_output_width=2), ("00", "11"), _owf_label),
+    (make_prfs_scheme(2, 2), ("0", "1"), _prfs_label),
+], ids=["owf", "prfs"])
+def test_challenge_ensemble_matches_sampled_encryptions(scheme, messages, label_of):
+    _check_ensemble_against_encrypt(scheme, messages, label_of)
+
+
+def test_ensemble_check_fails_when_encrypt_reuses_one_nonce(monkeypatch):
+    monkeypatch.setattr(StreamSke, "_nonce", lambda self, key, rng: "0" * len(key))
+    with pytest.raises(AssertionError, match="label"):
+        _check_ensemble_against_encrypt(OwfScheme(2, prf_output_width=2), ("00", "11"),
+                                        _owf_label)
+
+
+@pytest.mark.parametrize("scheme,messages", [
+    (OwfScheme(2, prf_output_width=2), ("00", "11")),
+    (OwfScheme(3, prf_output_width=1), ("0" * 70, "01" * 35)),
+    (make_prfs_scheme(2, 2), ("0", "1")),
+    (make_prfs_scheme(3, 1), ("1", "0")),
+], ids=["owf", "owf-70-bit", "prfs", "prfs-reversed"])
+def test_challenge_ensemble_weights_of_each_message_sum_to_one(scheme, messages):
+    ensemble = scheme.challenge_ensemble(*messages)
+    weights = ensemble.weights
+    assert weights[weights > 0].sum() == 1.0
+    assert weights[weights < 0].sum() == -1.0
+    assert len(ensemble.labels) == len(weights) == len(ensemble.keys) == len(ensemble.payloads)
+
+
+def test_owf_random_function_ensemble_weights_sum_to_one():
+    ensemble = OwfScheme.random_function_ensemble(2, "010", "111")
+    assert ensemble.weights[ensemble.weights > 0].sum() == 1.0
+    assert ensemble.weights[ensemble.weights < 0].sum() == -1.0
+    assert ensemble.key_states.shape == (1, 1)
+
+
+def test_owf_ensemble_reads_the_prf_off_the_key_states(monkeypatch):
+    calls = []
+    table = schemes.prf_table
+    monkeypatch.setattr(schemes, "prf_table",
+                        lambda *args, **kw: calls.append(args) or table(*args, **kw))
+    OwfScheme(3, prf_output_width=2).challenge_ensemble("01", "10")
+    assert len(calls) == 8  # one table per key state, none more
+
+
+def test_owf_ensemble_needs_a_plain_stream_cipher():
+    with pytest.raises(CapabilityError):
+        OwfScheme(2, 2, ske=FixedNonceSke()).challenge_ensemble("00", "11")
+
+
+@pytest.mark.parametrize("scheme,messages", [
+    (OwfScheme(2, prf_output_width=2), ("00", "1")),
+    (OwfScheme(2, prf_output_width=2), ("0a", "11")),
+    (make_prfs_scheme(2, 2), ("0", "11")),
+])
+def test_challenge_ensemble_rejects_messages_before_building_a_key(monkeypatch, scheme, messages):
+    def fail(*args, **kwargs):
+        raise AssertionError("key state built before the messages were checked")
+
+    monkeypatch.setattr(type(scheme), "qpk_gen", fail)
+    with pytest.raises(ValueError):
+        scheme.challenge_ensemble(*messages)
