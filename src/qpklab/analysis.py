@@ -60,13 +60,24 @@ class EnsembleAdvantage:
     mode: str
 
 
+def _check_sizes(lam: int, copies: int = 0, queries: int = 0, output_width: int = 1) -> None:
+    """Raise ValueError, before anything is built, for a size that has no meaning."""
+    if lam < 1:
+        raise ValueError(f"security parameter {lam} is below 1")
+    if output_width < 1:
+        raise ValueError(f"output width {output_width} is below 1")
+    if copies < 0:
+        raise ValueError("copy count must be nonnegative")
+    if queries < 0:
+        raise ValueError("query count must be nonnegative")
+
+
 # --- punctured-key trace distance -----------------------------------------
 
 
 def punctured_key_distance(lam: int, copies: int) -> float:
     """Closed form sqrt(1 - (1 - 2^-lam)^p) for p copies of the punctured key."""
-    if copies < 0:
-        raise ValueError("copy count must be nonnegative")
+    _check_sizes(lam, copies)
     return float(np.sqrt(max(0.0, 1.0 - (1.0 - 2.0**-lam) ** copies)))
 
 
@@ -84,8 +95,7 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
     2^lam entries and unit norm, so mass off S raises. The capacity guard
     stays at the p(lam+n) qubits of the state this check stands for.
     """
-    if copies < 0:
-        raise ValueError("copy count must be nonnegative")
+    _check_sizes(lam, copies, output_width=prf_output_width)
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
     check_bits(dk_bits, lam)
     if copies == 0:
@@ -192,8 +202,7 @@ def commuting_measurement_check(lam: int, copies: int = 2,
     projections (see `_joint_distribution`). The two orderings must
     coincide; the report carries their total-variation distance.
     """
-    if copies < 0:
-        raise ValueError("copy count must be nonnegative")
+    _check_sizes(lam, copies)
     if lam > 3:
         raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
@@ -219,6 +228,7 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridR
     nonce draw; returns the total-variation distance between the two
     visible-data distributions.
     """
+    _check_sizes(lam, queries=queries)
     if lam > 3:
         raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
     message = "10"
@@ -350,16 +360,14 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
     `_gram_distance` solves them; the `prfs` random mode solves one x* block
     of rho0 against rho1 = w*I, the others being permutations of it.
     """
-    if copies < 0:
-        raise ValueError("copy count must be nonnegative")
-    m0, m1 = messages
     kind = {"prfs": PrfsScheme, "owf": OwfScheme}.get(scheme)
-    if kind is not None:
-        kind.check_messages(m0, m1)
+    if kind is None or mode not in ("prf", "random"):
+        raise ValueError(f"no exact-advantage oracle for scheme {scheme!r} in mode {mode!r}")
+    _check_sizes(lam, copies, output_width=output_qubits)
+    m0, m1 = messages
+    kind.check_messages(m0, m1)
     if m0 == m1:
         value = 0.0
-    elif kind is None or mode not in ("prf", "random"):
-        raise ValueError(f"no exact-advantage oracle for scheme {scheme!r} in mode {mode!r}")
     elif (scheme, mode) == ("prfs", "random"):
         value = _prfs_random_distance(lam, output_qubits, copies)
     elif scheme == "prfs":

@@ -30,7 +30,7 @@ from .games import (
     run_prfspd_cloning,
     wilson_interval,
 )
-from .primitives import PhasePrfs, PrfsParams, PrfspdParams, ToyPrfspd, prf_eval
+from .primitives import PhasePrfs, PrfsParams, PrfspdParams, ToyPrfspd
 from .schemes import (
     DecryptionKey,
     OwfScheme,
@@ -131,17 +131,18 @@ def rate_check_failed(successes: int, trials: int, exact: float) -> bool:
 
 
 def _owf_exhaustive(scheme, message_width, rng):
-    """All keys, all measurement outcomes, all messages; must never fail."""
+    """All keys, all outcomes of measuring each key (the nonzero cells of its state)
+    and all messages, through `encrypt` and `decrypt`; must never fail."""
     lam = scheme.security_param
     ok = total = 0
     for kv in range(1 << lam):
         dk = DecryptionKey(int_to_bits(kv, lam))
-        for xv in range(1 << lam):
-            x = int_to_bits(xv, lam)
-            y = prf_eval(dk.bits, x, scheme.prf_output_width)
+        for cell in np.flatnonzero(scheme.qpk_gen(dk).state.amplitudes).tolist():
+            qpk = scheme.qpk_gen(dk)
+            qpk.residue = int_to_bits(cell, qpk.state.qubit_count)
             for mv in range(1 << message_width):
                 message = int_to_bits(mv, message_width)
-                ct = scheme._ciphertext_for(y, x, message, rng)
+                _, ct = scheme.encrypt(qpk, message, rng)
                 total += 1
                 ok += int(scheme.decrypt(dk, ct) == message)
     return ok, total
@@ -222,7 +223,7 @@ def cmd_game(args, rng):
         f"{est.estimate:.6f}", f"{est.interval[0]:.6f}", f"{est.interval[1]:.6f}",
     ])
     header = {
-        "command": "game", "scheme": args.scheme, "game": args.game,
+        "command": "game", "scheme": scheme.name, "game": args.game,
         "adversary": args.adversary, "lambda": args.lam, "n": args.n or "",
         "m": args.m, "trials": args.trials, "seed": args.seed,
     }

@@ -1,9 +1,9 @@
 """Executable security games: challengers, transcripts, advantage estimation.
 
 The challenger drives a synchronous adversary object through the game's turn
-structure. Protocol violations (mismatched challenge messages, blown budgets)
-never escape as exceptions: the transcript is marked invalid and counted as a
-loss, so estimators stay total.
+structure. Protocol violations (malformed or mismatched messages, blown
+budgets) never escape as exceptions: the transcript is marked invalid and
+counted as a loss, so estimators stay total.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ def _query_phase(scheme, adversary, qpk, rng, transcript, budget_state):
         budget_state[0] += 1
         if budget_state[0] > min(adversary.query_budget, HARD_QUERY_CAP):
             raise ProtocolViolation("encryption-query budget exceeded")
-        scheme.check_message(message)
         qpk, ct = scheme.encrypt(qpk, message, rng)
         transcript.queries.append(message)
         transcript.add_event("query", "adversary", message)

@@ -17,16 +17,17 @@ arrays built from `qpk_gen` and the cipher for `analysis` to solve. Each
 scheme's keyed primitive is swapped with `prf=`: on `OwfScheme` itself, and
 on the `PhasePrfs` or `ToyPrfspd` family a scheme is built from.
 
-- OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, caches
-  the outcome, and symmetric-encrypts under the measured PRF value. Classical
-  ciphertexts, perfect correctness, supports the encryption-oracle games.
+- OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, keeps
+  the outcome x || f_dk(x) as the copy's residue, and symmetric-encrypts under
+  f_dk(x). Classical ciphertexts, perfect correctness, encryption-oracle games.
 - PrfspdScheme: lambda copies of the slot state sum_x |x>|psi_dk,x>;
-  encrypting measures lambda slots, deletes the residual states for proofs,
+  encrypting measures lambda slots, keeps their deletion proofs as the residue,
   and hides a fresh symmetric key bit-by-bit behind real-vs-random proofs.
   Classical ciphertexts.
 - PrfsScheme: single-shot, one-bit messages; the ciphertext is the measured
-  input together with either the matching function-like state or, for the
-  maximally mixed payload of message 1, a uniformly sampled basis state.
+  input x (the residue; a copy that has one is spent) together with either the
+  matching function-like state or, for the maximally mixed payload of
+  message 1, a uniformly sampled basis state.
 """
 
 from __future__ import annotations
@@ -68,18 +69,17 @@ class DecryptionKey:
 
 @dataclass
 class QuantumPublicKey:
-    """A public-key value plus its recycling state.
+    """One copy of a public key: the key state and what this copy measured.
 
     `state` is the key's pure state; the PRFSPD key is lambda copies of this
     one slot state, kept as one so each slot stays within qubit capacity.
-    Copies of one key share that state with read-only amplitudes; the
-    recycling record is each copy's own. `residue` caches the classical data
-    produced by the first measuring encryption; `consumed` marks a spent
-    single-shot key.
+    Copies of one key share that state with read-only amplitudes. `residue`,
+    each copy's own, is None until an encryption measures the copy, then its
+    outcome (OWF x || f_dk(x), PRFSPD slots, PRFS x); presetting it conditions
+    the copy on one outcome.
     """
 
     state: sim.PureState
-    consumed: bool = False
     residue: object = None
 
 
@@ -137,8 +137,7 @@ class QpkeScheme:
 
         Every copy under one decryption key is the same state, so the state
         of the last key is built once: repeated calls share it with read-only
-        amplitudes, and each call mints an independent recycling record
-        (`consumed`, `residue`).
+        amplitudes, and each call returns a new copy with no `residue`.
         """
         if self._last_public is None or self._last_public[0] != dk.bits:
             self._last_public = None  # a rebuild holds one key state, not two
@@ -159,7 +158,11 @@ class QpkeScheme:
 
     @staticmethod
     def check_message(message: str) -> str:
-        return check_bits(message)
+        """`message`, or a `SchemeError` (a protocol violation in the games)."""
+        try:
+            return check_bits(message)
+        except ValueError as exc:
+            raise SchemeError(str(exc)) from None
 
     @classmethod
     def check_messages(cls, m0: str, m1: str) -> int:
@@ -196,9 +199,10 @@ class OwfScheme(QpkeScheme):
 
     def __init__(self, security_param, prf_output_width=None, prf=prf_eval, ske=None):
         super().__init__(security_param)
-        self.prf_output_width = prf_output_width or security_param
-        if self.prf_output_width < 0:
-            raise SchemeError(f"PRF output width {self.prf_output_width} is negative")
+        self.prf_output_width = security_param if prf_output_width is None else prf_output_width
+        if self.prf_output_width < 1:
+            sign = "negative" if self.prf_output_width < 0 else "zero"
+            raise SchemeError(f"PRF output width {self.prf_output_width} is {sign}")
         self.prf = prf
         self.ske = ske or StreamSke()
         sim.check_capacity(security_param + self.prf_output_width, "public key")
@@ -208,18 +212,13 @@ class OwfScheme(QpkeScheme):
         return sim.graph_state(sim.uniform_superposition(lam), n,
                                partial(prf_table, dk.bits, in_width=lam, out_width=n, prf=self.prf))
 
-    def _ciphertext_for(self, y: str, x: str, message: str, rng) -> Scheme1Ciphertext:
-        # shared by encrypt (post-measurement) and exhaustive correctness runs
-        return Scheme1Ciphertext(self.security_param, x, self.ske.encrypt(y, message, rng))
-
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
         self.check_message(message)
         if qpk.residue is None:
-            outcome = sim.sample_outcome(qpk.state, qpk.state.full_range(), rng)
-            lam = self.security_param
-            qpk.residue = (outcome[:lam], outcome[lam:])
-        x, y = qpk.residue
-        return qpk, self._ciphertext_for(y, x, message, rng)
+            qpk.residue = sim.sample_outcome(qpk.state, qpk.state.full_range(), rng)
+        lam = self.security_param
+        x, y = qpk.residue[:lam], qpk.residue[lam:]
+        return qpk, Scheme1Ciphertext(lam, x, self.ske.encrypt(y, message, rng))
 
     def challenge_ensemble(self, m0: str, m1: str) -> ChallengeEnsemble:
         """Every (key k, x*, nonce r) as the label (x*, r, body) that `encrypt` sends, payload
@@ -355,12 +354,12 @@ class PrfsScheme(QpkeScheme):
         uniformly sampled basis state of that ensemble.
         """
         self.check_message(message)
-        if qpk.consumed:
+        if qpk.residue is not None:
             raise KeyConsumedError("public key already used; the scheme is single-shot")
         n = self.prfs.params.output_qubits
         x, block = next(sim.measure_control(qpk.state, self.prfs.params.input_width, rng))
         payload = block if message == "0" else sim.basis_state(n, random_bits(n, rng))
-        qpk.consumed = True
+        qpk.residue = x
         return qpk, Scheme3Ciphertext(x, payload)
 
     def challenge_ensemble(self, m0: str, m1: str) -> ChallengeEnsemble:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpklab import analysis
+from qpklab import analysis, sim
 from qpklab.adversaries import (
     AlwaysZeroAdversary,
     CopyMeasureAdversary,
@@ -29,7 +29,7 @@ from qpklab.primitives import (
     PrfspdParams,
     RandomFunctionTable,
     ToyPrfspd,
-    prf_eval,
+    prf_table,
 )
 from qpklab.schemes import DecryptionKey, OwfScheme, PrfsScheme, PrfspdScheme
 
@@ -47,21 +47,38 @@ def measured_advantage(est):
 
 
 def test_criterion_01_owf_exhaustive_correctness():
+    # every outcome of measuring each public key is one of its nonzero cells;
+    # a copy conditioned on it encrypts every message
     rng = np.random.default_rng(101)
     scheme = OwfScheme(4, prf_output_width=4)
     ok = total = 0
     for kv in range(1 << 4):
         dk = DecryptionKey(int_to_bits(kv, 4))
-        for xv in range(1 << 4):
-            x = int_to_bits(xv, 4)
-            y = prf_eval(dk.bits, x, 4)
+        for cell in np.flatnonzero(scheme.qpk_gen(dk).state.amplitudes).tolist():
+            qpk = scheme.qpk_gen(dk)
+            qpk.residue = int_to_bits(cell, 8)
             for mv in range(1 << 8):
                 message = int_to_bits(mv, 8)
-                ct = scheme._ciphertext_for(y, x, message, rng)
+                _, ct = scheme.encrypt(qpk, message, rng)
                 total += 1
                 ok += int(scheme.decrypt(dk, ct) == message)
     assert total == 65536
     assert ok / total == 1.0
+
+
+def _off_graph_owf_key(self, dk):
+    """A broken OWF public key: the cells (x, f_dk(x) xor 1)."""
+    lam, n = self.security_param, self.prf_output_width
+    return sim.graph_state(sim.uniform_superposition(lam), n,
+                           lambda xs: prf_table(dk.bits, xs, lam, n) ^ 1)
+
+
+def test_criterion_01_reads_the_public_key(monkeypatch, capsys):
+    monkeypatch.setattr(OwfScheme, "_public_state", _off_graph_owf_key)
+    assert main(["correctness", "--scheme", "owf", "--lambda", "4", "--seed", "1"]) == 1
+    assert "cases=65536" in capsys.readouterr().out
+    with pytest.raises(AssertionError):
+        test_criterion_01_owf_exhaustive_correctness()
 
 
 # --- criterion 2: single-shot scheme's exact decryption error ---------------

@@ -614,6 +614,44 @@ def test_advantage_rejects_messages_the_scheme_does_not_encrypt(monkeypatch, sch
         analysis.optimal_advantage(scheme, 2, 1, messages, mode=mode)
 
 
+@pytest.mark.parametrize("call,reason", [
+    (lambda: analysis.punctured_key_distance(-1, 1), "security parameter -1 is below 1"),
+    (lambda: analysis.punctured_key_distance(0, 1), "security parameter 0 is below 1"),
+    (lambda: analysis.punctured_key_distance_explicit(2, 1, prf_output_width=0),
+     "output width 0 is below 1"),
+    (lambda: analysis.commuting_measurement_check(0), "security parameter 0 is below 1"),
+    (lambda: analysis.random_key_indistinguishability_check(0, 1),
+     "security parameter 0 is below 1"),
+    (lambda: analysis.random_key_indistinguishability_check(2, queries=-1),
+     "query count must be nonnegative"),
+    (lambda: analysis.optimal_advantage("prfs", 2, 1, ("0", "1"), output_qubits=0,
+                                        mode="random"), "output width 0 is below 1"),
+    (lambda: analysis.optimal_advantage("prfs", 0, 1, ("0", "1"), mode="random"),
+     "security parameter 0 is below 1"),
+    (lambda: analysis.optimal_advantage("prfs", -1, 1, ("0", "1"), mode="random"),
+     "security parameter -1 is below 1"),
+    (lambda: analysis.optimal_advantage("owf", 2, 1, ("00", "11"), output_qubits=0),
+     "output width 0 is below 1"),
+    (lambda: analysis.optimal_advantage("prfs", 0, 1, ("0", "0")),
+     "security parameter 0 is below 1"),
+    (lambda: analysis.optimal_advantage("bogus", 2, 1, ("0", "0")), "no exact-advantage oracle"),
+    (lambda: analysis.optimal_advantage("prfs", 2, 1, ("0", "0"), mode="bogus"),
+     "no exact-advantage oracle"),
+], ids=["punctured-lam-1", "punctured-lam0", "explicit-n0", "commuting-lam0", "random-key-lam0",
+        "random-key-queries-1", "prfs-random-n0", "prfs-random-lam0", "prfs-random-lam-1",
+        "owf-n0", "equal-messages-lam0", "equal-messages-bogus-scheme",
+        "equal-messages-bogus-mode"])
+def test_oracles_reject_sizes_without_meaning_before_building(monkeypatch, call, reason):
+    def fail(*args, **kwargs):
+        raise AssertionError("state built before the sizes were checked")
+
+    monkeypatch.setattr(PhasePrfs, "oracle_isometry", fail)
+    monkeypatch.setattr(OwfScheme, "qpk_gen", fail)
+    with pytest.raises(ValueError, match=reason) as raised:
+        call()
+    assert not isinstance(raised.value, sim.CapacityError)
+
+
 def test_advantage_rejects_negative_copies():
     # a negative exponent on the key overlaps would divide by them
     for scheme, messages in (("prfs", ("0", "1")), ("owf", ("00", "11"))):

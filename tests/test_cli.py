@@ -213,6 +213,7 @@ def test_game_cloning(capsys):
                               "--n", "4", "--trials", "150", "--seed", "5")
     assert code == EXIT_OK
     assert "lucky-clone" in out
+    assert "# scheme=prfspd" in out  # the cloning game runs the PRFSPD family
 
 
 def test_game_eo_on_prfs_rejected(capsys):

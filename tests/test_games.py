@@ -16,7 +16,7 @@ from qpklab.adversaries import (
 )
 from qpklab.bits import random_bits
 from qpklab.primitives import PhasePrfs, PrfsParams, PrfspdParams, ToyPrfspd
-from qpklab.schemes import CapabilityError, OwfScheme, PrfsScheme
+from qpklab.schemes import CapabilityError, OwfScheme, PrfsScheme, PrfspdScheme
 from qpklab.games import (
     Z_95,
     AdvantageEstimate,
@@ -128,6 +128,51 @@ def test_query_budget_enforced(rng):
     scheme = OwfScheme(3)
     t = run_ind_cpa_eo(scheme, GreedyQuerier(), rng)
     assert not t.valid and not t.win
+
+
+class MalformedQuery(AlwaysZeroAdversary):
+    def encryption_query(self):
+        return "abc"
+
+
+class MalformedChallenge(AlwaysZeroAdversary):
+    def choose_challenge(self):
+        return "0a", "11"
+
+
+@pytest.mark.parametrize("adversary_cls", [MalformedQuery, MalformedChallenge])
+@pytest.mark.parametrize("make_scheme", [
+    lambda: OwfScheme(3),
+    lambda: PrfspdScheme(3, ToyPrfspd(PrfspdParams(3, 3, 1, 2))),
+], ids=["owf", "prfspd"])
+def test_malformed_messages_mark_the_transcript_invalid(rng, make_scheme, adversary_cls):
+    t = run_ind_cpa_eo(make_scheme(), adversary_cls(), rng)
+    assert not t.valid and not t.win
+
+
+class DistinctQuerier(AlwaysZeroAdversary):
+    def __init__(self):
+        self.remaining = 3
+
+    def encryption_query(self):
+        if self.remaining:
+            self.remaining -= 1
+            return "01" * 4
+        return None
+
+
+def test_each_query_is_checked_once(rng, monkeypatch):
+    checked = []
+    check = OwfScheme.check_message
+
+    def counting_check(message):
+        checked.append(message)
+        return check(message)
+
+    monkeypatch.setattr(OwfScheme, "check_message", staticmethod(counting_check))
+    t = run_ind_cpa_eo(OwfScheme(3), DistinctQuerier(), rng)
+    assert t.valid
+    assert checked.count("01" * 4) == 3
 
 
 def test_prfs_scheme_rejected_in_eo_game(rng):

@@ -91,7 +91,7 @@ def test_qpk_gen_repeatable(factory):
     message = "1" if scheme.name == "prfs" else "0110"
     rng = np.random.default_rng(3)
     scheme.encrypt(a, message, rng)
-    assert b.residue is None and not b.consumed
+    assert b.residue is None
     _qpk, ct = scheme.encrypt(b, message, rng)
     if scheme.name != "prfs":
         assert scheme.decrypt(dk, ct) == message
@@ -138,6 +138,12 @@ def test_owf_rejects_negative_prf_width_before_any_prf_call():
     assert calls == []
 
 
+def test_owf_zero_prf_width_is_rejected_not_read_as_lambda():
+    with pytest.raises(SchemeError, match="width 0 is zero"):
+        OwfScheme(3, prf_output_width=0)
+    assert OwfScheme(3).prf_output_width == 3
+
+
 def test_width_mismatch_rejected():
     with pytest.raises(SchemeError):
         PrfsScheme(4, PhasePrfs(PrfsParams(3, 3, 2)))
@@ -149,15 +155,18 @@ def test_width_mismatch_rejected():
 
 
 def test_owf_exhaustive_round_trip(rng):
+    # each outcome (x, f_dk(x)) from prf_eval, not from the key, conditions a copy
     scheme = OwfScheme(2, prf_output_width=2)
     for kv in range(4):
         dk = DecryptionKey(int_to_bits(kv, 2))
         for xv in range(4):
             x = int_to_bits(xv, 2)
-            y = prf_eval(dk.bits, x, 2)
+            qpk = scheme.qpk_gen(dk)
+            qpk.residue = x + prf_eval(dk.bits, x, 2)
             for mv in range(16):
                 m = int_to_bits(mv, 4)
-                ct = scheme._ciphertext_for(y, x, m, rng)
+                _qpk, ct = scheme.encrypt(qpk, m, rng)
+                assert ct.x == x
                 assert scheme.decrypt(dk, ct) == m
 
 
@@ -168,6 +177,9 @@ def test_owf_residue_reuse(rng):
     qpk, c1 = scheme.encrypt(qpk, "1010", rng)
     qpk, c2 = scheme.encrypt(qpk, "0101", rng)
     assert c1.x == c2.x  # one measurement, many encryptions
+    # the copy records the cell it measured, one of the key's nonzero cells
+    assert qpk.residue[:4] == c1.x
+    assert int(qpk.residue, 2) in np.flatnonzero(qpk.state.amplitudes).tolist()
     assert scheme.decrypt(dk, c1) == "1010"
     assert scheme.decrypt(dk, c2) == "0101"
 
@@ -263,7 +275,8 @@ def test_prfs_scheme_message_domain(rng):
 def test_prfs_scheme_single_shot(rng):
     scheme = make_prfs_scheme()
     qpk = scheme.qpk_gen(scheme.gen(rng))
-    scheme.encrypt(qpk, "0", rng)
+    _qpk, ct = scheme.encrypt(qpk, "0", rng)
+    assert qpk.residue == ct.x  # the copy records the input it measured
     with pytest.raises(KeyConsumedError):
         scheme.encrypt(qpk, "1", rng)
 
