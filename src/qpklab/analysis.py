@@ -13,8 +13,10 @@ amplitude or rank:
 - the punctured-key cross-check tensors p copies of the key's 2^lam support
   amplitudes, 2^(p*lam) entries in place of 2^(p(lam+n)); its capacity guard
   stays at the p(lam+n) qubits of the dense copies it stands for;
-- the commuting check measures by sequential projections that keep only the
-  measured register's block, never a zero-padded full-size vector;
+- the commuting check tensors p+1 copies of the same 2^lam support
+  amplitudes, (p+1)*lam qubits in place of (p+1)(lam+n), with the same
+  dense-qubit guard, and measures by sequential projections that keep only
+  the measured register's block, never a zero-padded full-size vector;
 - Helstrom values solve the schemes' `challenge_ensemble` from Gram
   matrices: p key copies are the power C^p of the key-state overlaps, one
   block per label (x* or (x*, r, body)), blocks of one size solved as one
@@ -75,6 +77,20 @@ def _check_sizes(lam: int, copies: int = 0, queries: int = 0, output_width: int 
 # --- punctured-key trace distance -----------------------------------------
 
 
+def _on_key_support(lam: int, qpk: PureState, *others: PureState) -> list[PureState]:
+    """`qpk` and `others` restricted to the key's support S: the 2^lam cells
+    (x, f_dk(x)) of the OWF key `qpk`, in order of x, so each restricted state
+    is a lam-qubit register holding the input x.
+
+    Restricting is checked: `qpk` must have 2^lam nonzero cells, and every
+    restricted vector unit norm, so a state with mass off S raises ValueError.
+    """
+    support = np.flatnonzero(qpk.amplitudes)
+    if len(support) != 1 << lam:
+        raise ValueError(f"key has {len(support)} nonzero cells, expected {1 << lam}")
+    return [PureState(lam, state.amplitudes[support]) for state in (qpk, *others)]
+
+
 def punctured_key_distance(lam: int, copies: int) -> float:
     """Closed form sqrt(1 - (1 - 2^-lam)^p) for p copies of the punctured key."""
     _check_sizes(lam, copies)
@@ -91,9 +107,9 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
     of p copies of each. Both states are zero off the key's support S, the
     2^lam cells (x, f_dk(x)), so the copies are tensored on S alone: the
     inner product over S^p is the one over the full 2^(p(lam+n)) entries.
-    Restricting to S is itself checked: the restricted vectors must have
-    2^lam entries and unit norm, so mass off S raises. The capacity guard
-    stays at the p(lam+n) qubits of the state this check stands for.
+    Restricting to S is itself checked (`_on_key_support`), so mass off S
+    raises. The capacity guard stays at the p(lam+n) qubits of the state
+    this check stands for.
     """
     _check_sizes(lam, copies, output_width=prf_output_width)
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
@@ -105,8 +121,7 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
     sim.check_capacity(copies * (lam + n), "explicit tensor construction")
     qpk = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk_bits)).state
     punctured = sim.puncture(qpk, x_star, WireRange(n, lam))
-    support = np.flatnonzero(qpk.amplitudes)
-    key, key_punct = (PureState(lam, state.amplitudes[support]) for state in (qpk, punctured))
+    key, key_punct = _on_key_support(lam, qpk, punctured)
     full = reduce(sim.tensor, [key] * copies)
     full_punct = reduce(sim.tensor, [key_punct] * copies)
     return sim.trace_distance(full, full_punct)
@@ -174,33 +189,34 @@ def _uniform_over(outcomes) -> dict:
 
 
 def _joint_key_state(lam: int, copies: int, dk_bits: str):
-    """|qpk>^(copies+1) and its labelled input registers, challenger first.
+    """|qpk>^(copies+1) on the key's support and its labelled input registers,
+    challenger first.
 
-    The challenger's factor sits on the highest wires.
+    Each copy is restricted to its 2^lam cells (x, f_dk(x)) (`_on_key_support`)
+    before tensoring: measuring x leaves the output register in |f_dk(x)>, a
+    product factor, so the input outcomes have the dense copies' distribution.
+    Copy j is the lam-qubit register at offset (copies - j)*lam, so the
+    challenger's sits on the highest wires. The capacity guard counts the
+    (copies+1)(lam+n) qubits, n = lam, of the dense copies this state stands for.
     """
-    n = lam
-    block = lam + n
-    total = block * (copies + 1)
-    sim.check_capacity(total, "joint state")
-    qpk = OwfScheme(lam).qpk_gen(DecryptionKey(dk_bits)).state
-    joint = reduce(sim.tensor, [qpk] * (copies + 1))
-    ranges = []
-    for j in range(copies + 1):
-        block_start = total - (j + 1) * block
-        label = "challenger" if j == 0 else f"copy{j}"
-        ranges.append((label, WireRange(block_start + n, lam)))
-    return joint, ranges
+    sim.check_capacity((copies + 1) * 2 * lam, "joint state")
+    (key,) = _on_key_support(lam, OwfScheme(lam).qpk_gen(DecryptionKey(dk_bits)).state)
+    joint = reduce(sim.tensor, [key] * (copies + 1))
+    return joint, [("challenger" if j == 0 else f"copy{j}", WireRange((copies - j) * lam, lam))
+                   for j in range(copies + 1)]
 
 
 def commuting_measurement_check(lam: int, copies: int = 2,
                                 dk_bits: str | None = None) -> HybridReport:
     """Measure-before vs measure-after equality for the PRF-based public key.
 
-    Builds |qpk>^(p+1) explicitly (challenger's copy plus p adversary copies)
-    and compares the exact joint distribution of all input-register outcomes
-    when the challenger measures last versus first, by sequential sliced
-    projections (see `_joint_distribution`). The two orderings must
-    coincide; the report carries their total-variation distance.
+    Tensors p+1 copies of the key on its support (challenger's copy plus p
+    adversary copies, `_joint_key_state`), (p+1)*lam qubits, and compares the
+    exact joint distribution of all input-register outcomes when the
+    challenger measures last versus first, by sequential sliced projections
+    (see `_joint_distribution`). The two orderings must coincide; the report
+    carries their total-variation distance. The capacity guard counts the
+    (p+1)(lam+n) qubits of the dense copies, and lam > 3 raises.
     """
     _check_sizes(lam, copies)
     if lam > 3:

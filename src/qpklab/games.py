@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import random_bits
+from .bits import check_bits, random_bits
 from .primitives import ToyPrfspd
 from .schemes import CapabilityError, QpkeScheme, SchemeError
 
@@ -167,17 +167,29 @@ def run_ind_cpa_eo(scheme, adversary, rng, multi=False, inner_rounds=2, outer_ro
 
 def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
     """Proof-cloning game: produce one more distinct verifying proof than
-    generator queries for some input."""
+    generator queries for some input.
+
+    An input or a proof of the wrong width, queried or submitted, is a
+    protocol violation."""
     transcript = GameTranscript("cloning", prfspd.params.key_width)
     key = random_bits(prfspd.params.key_width, rng)
     transcript.dk_bits = key
     counts: dict[str, int] = {}
     budgets = {"gen": 0, "ver": 0}
 
+    def well_formed(x, *proofs):
+        try:
+            check_bits(x, prfspd.params.input_width)
+            for proof in proofs:
+                check_bits(proof, prfspd.params.proof_width)
+        except ValueError as exc:
+            raise ProtocolViolation(str(exc)) from exc
+
     def gen_oracle(x):
         budgets["gen"] += 1
         if budgets["gen"] > min(adversary.gen_budget, HARD_QUERY_CAP):
             raise ProtocolViolation("generator-query budget exceeded")
+        well_formed(x)
         counts[x] = counts.get(x, 0) + 1
         transcript.add_event("query", "adversary", f"gen:{x}")
         return prfspd.gen(key, x)
@@ -186,16 +198,19 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
         budgets["ver"] += 1
         if budgets["ver"] > min(adversary.ver_budget, HARD_QUERY_CAP):
             raise ProtocolViolation("verifier-query budget exceeded")
+        well_formed(x, proof_bits)
         transcript.add_event("query", "adversary", f"ver:{x}")
         return prfspd.verify(key, x, proof_bits)
 
     try:
         x, proofs = adversary.run(gen_oracle, ver_oracle, rng)
+        proofs = tuple(proofs)
+        well_formed(x, *proofs)
     except ProtocolViolation:
         transcript.valid = False
         return transcript
     t = counts.get(x, 0)
-    transcript.challenge = (x, tuple(proofs))
+    transcript.challenge = (x, proofs)
     transcript.add_event("output", "adversary", f"{x}:{len(proofs)}")
     if len(proofs) != t + 1 or len(set(proofs)) != len(proofs):
         transcript.win = False

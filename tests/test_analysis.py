@@ -267,6 +267,18 @@ def _count_prf_eval_calls(monkeypatch):
     return calls
 
 
+def _dense_joint_key_state(lam, copies, dk_bits):
+    """The dense |qpk>^(copies+1), 2(copies+1)*lam qubits, and its labelled
+    input registers, challenger first and on the highest wires: the reference
+    for `analysis._joint_key_state`, which tensors the key's support only."""
+    block = 2 * lam
+    total = block * (copies + 1)
+    qpk = OwfScheme(lam).qpk_gen(DecryptionKey(dk_bits)).state
+    joint = sim.PureState(total, _tensor_power(qpk.amplitudes, copies + 1))
+    return joint, [("challenger" if j == 0 else f"copy{j}",
+                    WireRange(total - (j + 1) * block + lam, lam)) for j in range(copies + 1)]
+
+
 def _projected_joint_distribution(state, labelled_ranges):
     dist: dict = {}
 
@@ -420,6 +432,49 @@ def test_joint_distribution_keeps_the_bits_of_the_renormalizing_recursion(lam, c
         for order in (ranges, ranges[1:] + ranges[:1]):
             assert (analysis._joint_distribution(joint, order)
                     == _renormalizing_joint_distribution(joint, order))
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+@pytest.mark.parametrize("copies", [0, 1, 2])
+def test_joint_on_the_support_matches_the_dense_copies(lam, copies):
+    for dk_bits in ("0" * lam, "1" * lam, ("10" * lam)[:lam]):
+        joint, ranges = analysis._joint_key_state(lam, copies, dk_bits)
+        dense, dense_ranges = _dense_joint_key_state(lam, copies, dk_bits)
+        assert joint.qubit_count == (copies + 1) * lam
+        for first in (0, 1):  # the challenger measured first, then last
+            got = analysis._joint_distribution(joint, ranges[first:] + ranges[:first])
+            want = analysis._joint_distribution(dense, dense_ranges[first:] + dense_ranges[:first])
+            assert set(got) == set(want)
+            for key, prob in want.items():
+                assert abs(got[key] - prob) <= 1e-15, (lam, copies, dk_bits, first, key)
+
+
+def test_commuting_check_stays_on_the_support():
+    # 3 copies of a 6-qubit key are 2^18 dense amplitudes (4 MB), 512 on the support
+    tracemalloc.start()
+    try:
+        analysis.commuting_measurement_check(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_commuting_check_rejects_mass_off_the_support(monkeypatch):
+    qpk_gen = OwfScheme.qpk_gen
+
+    def leaky_qpk_gen(self, dk):
+        state = qpk_gen(self, dk).state
+        amps = state.amplitudes.copy()
+        cell = int(np.flatnonzero(amps)[0])
+        # half of one support cell's mass moves to (x, y ^ 1), where y = f(x)
+        amps[cell] /= np.sqrt(2.0)
+        amps[cell ^ 1] = amps[cell]
+        return schemes.QuantumPublicKey(sim.PureState(state.qubit_count, amps))
+
+    monkeypatch.setattr(OwfScheme, "qpk_gen", leaky_qpk_gen)
+    with pytest.raises(ValueError, match="nonzero cells"):
+        analysis.commuting_measurement_check(3)
 
 
 def test_commuting_check_rejects_a_key_of_the_wrong_width():

@@ -290,6 +290,30 @@ def test_cloning_ver_oracle_available(rng):
     assert t.valid
 
 
+class _Submits(CloningAdversary):
+    """Runs `queries` against the oracles, then submits (x, proofs)."""
+
+    def __init__(self, x, proofs, queries=lambda gen_oracle, ver_oracle: None):
+        self.x, self.proofs, self.queries = x, proofs, queries
+
+    def run(self, gen_oracle, ver_oracle, rng):
+        self.queries(gen_oracle, ver_oracle)
+        return self.x, self.proofs
+
+
+@pytest.mark.parametrize("adversary", [
+    _Submits("000", ["01"]),
+    _Submits("000", ["001"], lambda gen_oracle, ver_oracle: ver_oracle("000", "1")),
+    _Submits("000", ["001"], lambda gen_oracle, ver_oracle: gen_oracle("0")),
+    _Submits("0000", ["001"]),
+], ids=["short-proof", "short-verifier-query", "short-generator-query", "long-input"])
+def test_cloning_input_of_the_wrong_width_is_invalid(rng, adversary):
+    # the family expects 3-bit inputs and 3-bit proofs
+    pd = ToyPrfspd(PrfspdParams(3, 3, 1, 2))
+    t = run_prfspd_cloning(pd, adversary, rng)
+    assert not t.valid and not t.win
+
+
 # --- estimator --------------------------------------------------------------
 
 
