@@ -170,7 +170,8 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
     generator queries for some input.
 
     An input or a proof of the wrong width, queried or submitted, is a
-    protocol violation."""
+    protocol violation. A violation, or a cloner that raises, marks the
+    transcript invalid and lost."""
     transcript = GameTranscript("cloning", prfspd.params.key_width)
     key = random_bits(prfspd.params.key_width, rng)
     transcript.dk_bits = key
@@ -206,8 +207,9 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
         x, proofs = adversary.run(gen_oracle, ver_oracle, rng)
         proofs = tuple(proofs)
         well_formed(x, *proofs)
-    except ProtocolViolation:
+    except Exception:  # the cloner's own code runs here, as in `_finish`
         transcript.valid = False
+        transcript.win = False
         return transcript
     t = counts.get(x, 0)
     transcript.challenge = (x, proofs)

@@ -10,8 +10,10 @@ correctness contracts exactly while staying enumerable at tiny widths.
 `prf_eval` maps one bitstring to one bitstring; `prf_table` gives the same
 values for a whole integer array of inputs at once, with the key checked and
 its hash prefix computed once. The graph-state keys (the OWF key and the
-PRFSPD slot state) are written from one such table per key; an injected PRF
-callable is still called once per point and its outputs checked.
+PRFSPD slot state) take their cells from such tables: the OWF key one table
+per key, the PRFSPD slot state one 2^m-point table per block it builds
+(`ToyPrfspd.graph`). An injected PRF callable is still called once per point
+and its outputs checked.
 
 Both state families take their PRF as `prf=` (default `prf_eval`), as
 `schemes.OwfScheme` does: the random-function hybrid passes a
@@ -179,9 +181,9 @@ class _StateFamily:
     Subclasses supply only the amplitudes of one state, from the keyed
     function `prf` (called like `prf_eval`); passing another callable swaps
     the PRF for, e.g., a `RandomFunctionTable`. `gen` checks the widths and
-    caches every state it builds, emptying the cache once it holds more than
-    8192. `oracle_isometry` builds its blocks through `gen` unless a family
-    writes the whole state itself (`ToyPrfspd`).
+    caches every state it builds, with read-only amplitudes, emptying the
+    cache once it holds more than 8192. `oracle_isometry` builds its blocks
+    through `gen` unless a family writes the whole state itself (`ToyPrfspd`).
     """
 
     def __init__(self, params, prf=prf_eval):
@@ -201,6 +203,7 @@ class _StateFamily:
         if len(self._cache) > 8192:
             self._cache.clear()
         state = PureState(self.params.output_qubits, self._amplitudes(key, x))
+        state.amplitudes.setflags(write=False)  # every later caller gets this object
         self._cache[(key, x)] = state
         return state
 
@@ -296,10 +299,17 @@ class ToyPrfspd(_StateFamily):
         amps[cells] = (1 << self.params.measured_width) ** -0.5
         return amps
 
+    def graph(self, key: str, control: PureState) -> sim.GraphState:
+        """sum_x a_x |x>|psi_{k,x}> for control = sum_x a_x |x>, as the recipe of the
+        graph of (x, y) -> f_k(x||y): no PRF point is evaluated until a block or
+        the whole state is built, and neither `gen` nor its cache is used."""
+        if control.qubit_count != self.params.input_width:
+            raise sim.DimensionMismatchError("input register width does not match d")
+        return sim.GraphState(control, self.params.output_qubits, partial(self._cells, key),
+                              (1 << self.params.measured_width) ** -0.5)
+
     def _isometry(self, key, state):
-        # the graph of (x, y) -> f_k(x||y), written from one table: no `gen`, nothing cached
-        return sim.graph_state(state, self.params.output_qubits, partial(self._cells, key),
-                               (1 << self.params.measured_width) ** -0.5)
+        return self.graph(key, state).materialize()
 
     def delete(self, state: PureState, rng: np.random.Generator) -> str:
         if state.qubit_count != self.params.output_qubits:

@@ -5,12 +5,14 @@ quantum public-key generation (repeated calls yield the identical state),
 encryption returning a recycled key alongside the ciphertext, and decryption
 from the classical key. Every public key holds one pure state
 sum_x 2^{-lambda/2} |x>|phi_x>. The OWF key and the PRFSPD slot state are
-graph states of the PRF, written by `sim.graph_state` from one
-`primitives.prf_table` per key (the slot through `ToyPrfspd.oracle_isometry`,
-which neither calls nor fills the family's `gen` cache); the PRFS key is
-assembled from `PhasePrfs.gen` states by `sim.controlled_state`. The lambda
-PRFSPD slots are measured from one control marginal by
-`sim.measure_control(..., copies=lambda)`. Every quantum object is pure; a
+graph states of the PRF, `sim.GraphState` recipes whose cells come from
+`primitives.prf_table`. The OWF key is materialized at once, from one table
+per key. The PRFSPD slot state stays a recipe (`ToyPrfspd.graph`, which
+neither calls nor fills the family's `gen` cache): `qpk_gen` evaluates no PRF
+point, and `sim.measure_control(..., copies=lambda)` draws the lambda slots
+from the control's marginal and builds only the lambda drawn blocks, 2^m PRF
+points each. The PRFS key is assembled from `PhasePrfs.gen` states by
+`sim.controlled_state`. Every quantum object is pure; a
 mixed state is an ensemble that is sampled, and the IND-CPA challenges of
 `owf` and `prfs` are enumerated next to `encrypt` by `challenge_ensemble`,
 arrays built from `qpk_gen` and the cipher for `analysis` to solve. Each
@@ -72,14 +74,17 @@ class QuantumPublicKey:
     """One copy of a public key: the key state and what this copy measured.
 
     `state` is the key's pure state; the PRFSPD key is lambda copies of this
-    one slot state, kept as one so each slot stays within qubit capacity.
-    Copies of one key share that state with read-only amplitudes. `residue`,
+    one slot state, kept as one so each slot stays within qubit capacity, and
+    held as a `sim.GraphState` recipe: measuring it builds the lambda drawn
+    blocks, never the 2^(lambda+m+t) amplitudes (`materialize()` writes them).
+    Copies of one key share that state with read-only amplitudes (a graph
+    state's control amplitudes). `residue`,
     each copy's own, is None until an encryption measures the copy, then its
     outcome (OWF x || f_dk(x), PRFSPD slots, PRFS x); presetting it conditions
     the copy on one outcome.
     """
 
-    state: sim.PureState
+    state: sim.PureState | sim.GraphState
     residue: object = None
 
 
@@ -137,17 +142,20 @@ class QpkeScheme:
 
         Every copy under one decryption key is the same state, so the state
         of the last key is built once: repeated calls share it with read-only
-        amplitudes, and each call returns a new copy with no `residue`.
+        amplitudes (a graph state's control amplitudes), and each call returns
+        a new copy with no `residue`.
         """
         if self._last_public is None or self._last_public[0] != dk.bits:
             self._last_public = None  # a rebuild holds one key state, not two
             state = self._public_state(dk)
-            state.amplitudes.setflags(write=False)
+            held = state.control if isinstance(state, sim.GraphState) else state
+            held.amplitudes.setflags(write=False)
             self._last_public = (dk.bits, state)
         return QuantumPublicKey(self._last_public[1])
 
-    def _public_state(self, dk: DecryptionKey) -> sim.PureState:
-        """Build the public-key state for `dk`."""
+    def _public_state(self, dk: DecryptionKey):
+        """Build the public-key state for `dk`: a `sim.PureState`, or a `sim.GraphState`
+        whose blocks are built as they are measured."""
         raise NotImplementedError
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng: np.random.Generator):
@@ -208,9 +216,12 @@ class OwfScheme(QpkeScheme):
         sim.check_capacity(security_param + self.prf_output_width, "public key")
 
     def _public_state(self, dk: DecryptionKey) -> sim.PureState:
+        """The dense key: every copy is measured in full and every ensemble reads the
+        whole state. A lazy key would draw faster, but it waits for a benchmark whose
+        memory per run does not grow with throughput (ROADMAP item 1)."""
         lam, n = self.security_param, self.prf_output_width
-        return sim.graph_state(sim.uniform_superposition(lam), n,
-                               partial(prf_table, dk.bits, in_width=lam, out_width=n, prf=self.prf))
+        cells = partial(prf_table, dk.bits, in_width=lam, out_width=n, prf=self.prf)
+        return sim.GraphState(sim.uniform_superposition(lam), n, cells).materialize()
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
         self.check_message(message)
@@ -274,8 +285,9 @@ class PrfspdScheme(QpkeScheme):
         self.ske = ske or StreamSke()
         sim.check_capacity(security_param + prfspd.params.output_qubits, "slot state")
 
-    def _public_state(self, dk: DecryptionKey) -> sim.PureState:
-        return self.prfspd.oracle_isometry(dk.bits, sim.uniform_superposition(self.security_param))
+    def _public_state(self, dk: DecryptionKey) -> sim.GraphState:
+        """The slot state as its recipe: measuring it builds only the drawn blocks."""
+        return self.prfspd.graph(dk.bits, sim.uniform_superposition(self.security_param))
 
     def _measure_slots(self, qpk: QuantumPublicKey, rng):
         """Measure lambda copies of the slot state and delete each residual state."""

@@ -14,12 +14,16 @@ Every public key in the package is a controlled state sum_x a_x |x>|phi_x>:
 the control register x sits on the high wires and the block phi_x on the
 wires below it, so the block of x is the contiguous slice of amplitudes
 [x * 2^b, (x + 1) * 2^b) for a b-qubit block. `controlled_state` builds one
-block by block. `graph_state` builds the graph of a classical function,
-sum_x a_x |x> sum_y c |y>|f(x||y)>, from one table of function values that
-its caller computes in one call for all x; the OWF key and the PRFSPD slot
-state are such graph states. `measure_control` measures x on any number of
-copies of one controlled state from one control marginal, and renormalizes
-each outcome's slice alone, with no full-size post-measurement vector.
+block by block. A `GraphState` is the graph of a classical function,
+sum_x a_x |x> sum_y c |y>|f(x||y)>, held as its recipe (the control state and
+a map from x to the cells of its block); the OWF key and the PRFSPD slot
+state are such graph states. `GraphState.materialize` writes the dense state
+from one table of function values that its caller computes in one call for
+all x. `measure_control` measures x on any number of copies of one controlled
+state from one control marginal, and renormalizes each outcome's block alone,
+with no full-size post-measurement vector: sliced out of a dense state, or
+built from a graph state's recipe, so measuring the lambda-copy PRFSPD slot
+state builds lambda blocks and never the 2^(lambda+m+t) amplitudes.
 
 A computational-basis draw (`sample_outcome`, `measure_control`) cumulates the
 Born probabilities of the nonzero outcomes only, and gives the bits that
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -164,26 +169,48 @@ def controlled_state(control: PureState, block_qubits: int, block_of) -> PureSta
     return PureState(q, amps.reshape(-1))
 
 
-def graph_state(control: PureState, block_qubits: int, cells_of,
-                block_amplitude: float = 1.0) -> PureState:
+@dataclass(frozen=True)
+class GraphState:
     """sum_x a_x |x> sum_{j in cells(x)} c |j> for control = sum_x a_x |x>, control high.
 
-    The graph of a classical function. `cells_of` maps the integer array of
-    the control values x with a_x != 0 to the block's basis indices that
-    carry amplitude c = `block_amplitude`: one row of indices per x (or one
-    index per x), the same number for every x. It is called once, after the
-    capacity check, so the caller can build its whole table in one pass. Each
-    amplitude is the product a_x * c that `controlled_state` gives for the
-    same block, but the table is written at once and no block is built as a
-    state.
+    The graph of a classical function, held as its recipe: no amplitude of
+    the joint state exists until `materialize` writes them all, and
+    `measure_control` builds only the blocks it draws. `cells_of` maps an
+    integer array of control values x with a_x != 0 to the block's basis
+    indices that carry amplitude c = `block_amplitude`: one row of indices
+    per x (or one index per x), the same number for every x. Each amplitude
+    is the product a_x * c that `controlled_state` gives for the same block.
     """
-    q = control.qubit_count + block_qubits
-    check_capacity(q, "graph state")
-    rows = np.flatnonzero(control.amplitudes)
-    cells = np.asarray(cells_of(rows), dtype=np.int64).reshape(len(rows), -1)
-    amps = np.zeros((control.dim, 1 << block_qubits), dtype=np.complex128)
-    amps[rows[:, None], cells] = control.amplitudes[rows, None] * block_amplitude
-    return PureState(q, amps.reshape(-1))
+
+    control: PureState
+    block_qubits: int
+    cells_of: object = field(repr=False)
+    block_amplitude: float = 1.0
+
+    @property
+    def qubit_count(self) -> int:
+        return self.control.qubit_count + self.block_qubits
+
+    def _cells(self, rows: np.ndarray) -> np.ndarray:
+        return np.asarray(self.cells_of(rows), dtype=np.int64).reshape(len(rows), -1)
+
+    def materialize(self) -> PureState:
+        """The dense state. `cells_of` is called once, after the capacity check,
+        with every x where a_x != 0, so the caller can build its whole table in
+        one pass; the table is written at once and no block is built as a state."""
+        check_capacity(self.qubit_count, "graph state")
+        rows = np.flatnonzero(self.control.amplitudes)
+        cells = self._cells(rows)
+        amps = np.zeros((self.control.dim, 1 << self.block_qubits), dtype=np.complex128)
+        amps[rows[:, None], cells] = self.control.amplitudes[rows, None] * self.block_amplitude
+        return PureState(self.qubit_count, amps.reshape(-1))
+
+    def _block(self, xv: int) -> np.ndarray:
+        """The amplitudes of x = `xv`'s block as `materialize` writes them, not
+        renormalized: one call of `cells_of`, for x alone."""
+        amps = np.zeros(1 << self.block_qubits, dtype=np.complex128)
+        amps[self._cells(np.array([xv]))[0]] = self.control.amplitudes[xv] * self.block_amplitude
+        return amps
 
 
 def apply_function_oracle(state, f, in_range: WireRange, out_range: WireRange) -> PureState:
@@ -304,8 +331,8 @@ def measure_computational(state: PureState, wires: WireRange, rng: np.random.Gen
     return outcome, post
 
 
-def measure_control(state: PureState, control_width: int, rng: np.random.Generator,
-                    copies: int = 1):
+def measure_control(state: PureState | GraphState, control_width: int,
+                    rng: np.random.Generator, copies: int = 1):
     """Measure the control register of `copies` copies of a controlled state.
 
     Yields (x, block) once per copy, lazily: each copy draws one
@@ -313,18 +340,28 @@ def measure_control(state: PureState, control_width: int, rng: np.random.Generat
     draws and still get what `copies` single-copy measurements would give.
     The control marginal and its CDF over the nonzero outcomes are computed
     once, for all copies. The block is the renormalized state left on the
-    wires below the control, sliced out of the amplitudes with no full-size
-    post-measurement state.
+    wires below the control, with no full-size post-measurement state: sliced
+    out of a `PureState`'s amplitudes, or built alone from a `GraphState`'s
+    recipe, whose control marginal is its control state's Born rule.
     Single-copy callers take `next(...)`.
     """
-    wires = WireRange(state.qubit_count - control_width, control_width)
-    support, cdf = _born_cdf(state, wires)
+    if isinstance(state, GraphState):
+        if control_width != state.control.qubit_count:
+            raise ValueError(f"graph state has a {state.control.qubit_count}-qubit control, "
+                             f"not {control_width}")
+        support, cdf = _born_cdf(state.control, state.control.full_range())
+        block_of = state._block
+    else:
+        wires = WireRange(state.qubit_count - control_width, control_width)
+        support, cdf = _born_cdf(state, wires)
+        block_of = partial(_register_block, state.amplitudes, wires)
     for _ in range(copies):
         xv = int(support[cdf.searchsorted(rng.random(), side="right")])
-        block = _register_block(state.amplitudes, wires, xv)
+        block = block_of(xv)
         prob = float(np.vdot(block, block).real)
         assert prob > ATOL_EXACT**2, "sampled outcome has zero projection"
-        yield int_to_bits(xv, control_width), PureState(wires.offset, block / np.sqrt(prob))
+        yield (int_to_bits(xv, control_width),
+               PureState(state.qubit_count - control_width, block / np.sqrt(prob)))
 
 
 def puncture(state: PureState, marked: str, wires: WireRange) -> PureState:

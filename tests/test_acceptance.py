@@ -69,8 +69,8 @@ def test_criterion_01_owf_exhaustive_correctness():
 def _off_graph_owf_key(self, dk):
     """A broken OWF public key: the cells (x, f_dk(x) xor 1)."""
     lam, n = self.security_param, self.prf_output_width
-    return sim.graph_state(sim.uniform_superposition(lam), n,
-                           lambda xs: prf_table(dk.bits, xs, lam, n) ^ 1)
+    return sim.GraphState(sim.uniform_superposition(lam), n,
+                          lambda xs: prf_table(dk.bits, xs, lam, n) ^ 1).materialize()
 
 
 def test_criterion_01_reads_the_public_key(monkeypatch, capsys):

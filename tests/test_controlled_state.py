@@ -1,10 +1,15 @@
-"""`sim.controlled_state`, `sim.graph_state` and `sim.measure_control` against the
+"""`sim.controlled_state`, `sim.GraphState` and `sim.measure_control` against the
 constructions they replace.
 
 The reference builders below are the earlier per-scheme constructions of the
 public keys and of the measure-then-slice step. The shared routines must
 reproduce them bit for bit, so keys, random draws and reports stay the same.
+The PRFSPD key is a `GraphState` recipe: its dense state is read through
+`materialize()`, and measuring the recipe must draw what measuring that
+dense state draws.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,7 +113,7 @@ def test_prfspd_slots_bitwise_equal_to_loop_construction(lam, m, t):
     scheme = PrfspdScheme(lam, family)
     for kv in range(min(1 << lam, 4)):
         dk = int_to_bits(kv, lam)
-        slot = scheme.qpk_gen(DecryptionKey(dk)).state
+        slot = scheme.qpk_gen(DecryptionKey(dk)).state.materialize()
         reference = reference_prfspd_slot(family, dk, lam)
         assert same_bits(slot.amplitudes, reference.amplitudes)
 
@@ -121,7 +126,7 @@ def test_public_keys_bitwise_equal_to_per_point_prf_construction(lam):
     assert same_bits(owf.amplitudes, reference_owf_key(dk, lam, n).amplitudes)
     m, t = 1, 6
     slot = PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, m, t))).qpk_gen(DecryptionKey(dk))
-    assert same_bits(slot.state.amplitudes,
+    assert same_bits(slot.state.materialize().amplitudes,
                      reference_prfspd_slot_per_point(dk, lam, m, t).amplitudes)
 
 
@@ -193,9 +198,40 @@ def test_owf_key_calls_the_prf_once_per_input(lam, n):
 def test_prfspd_slot_calls_the_prf_once_per_point_and_caches_nothing(lam, m, t):
     calls = []
     family = ToyPrfspd(PrfspdParams(lam, lam, m, t), prf=counting_prf(calls))
-    PrfspdScheme(lam, family).qpk_gen(DecryptionKey("0" * lam))
+    PrfspdScheme(lam, family).qpk_gen(DecryptionKey("0" * lam)).state.materialize()
     assert sorted(calls) == [int_to_bits(v, lam + m) for v in range(1 << (lam + m))]
     assert family._cache == {}
+
+
+@pytest.mark.parametrize("lam,m,t", [(3, 1, 2), (4, 2, 1), (8, 1, 6), (6, 3, 3)])
+def test_prfspd_key_evaluates_only_the_measured_blocks(lam, m, t):
+    calls = []
+    family = ToyPrfspd(PrfspdParams(lam, lam, m, t), prf=counting_prf(calls))
+    scheme = PrfspdScheme(lam, family)
+    qpk = scheme.qpk_gen(DecryptionKey("0" * lam))
+    assert calls == []
+    scheme._measure_slots(qpk, np.random.default_rng(1))
+    # each slot's block: its 2^m points (x, y), and nothing else
+    assert len(calls) == lam << m
+    assert sorted(calls) == sorted(x + int_to_bits(yv, m)
+                                   for x, _proof in qpk.residue for yv in range(1 << m))
+    assert family._cache == {}
+
+
+def test_prfspd_key_and_first_encryption_allocate_no_slot_state():
+    lam, m, t = 8, 1, 6
+    scheme = PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, m, t)))
+    # a first key and encryption, untraced, so one-time imports and caches are not counted
+    scheme.encrypt(scheme.qpk_gen(DecryptionKey("0" * lam)), "0110", np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        scheme.encrypt(scheme.qpk_gen(DecryptionKey("10110010")), "0110",
+                       np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense slot state alone would be 2^15 amplitudes of 16 bytes, 512 KB
+    assert peak < 64 * 1024
 
 
 def test_graph_state_capacity_error_before_allocation(monkeypatch):
@@ -208,7 +244,7 @@ def test_graph_state_capacity_error_before_allocation(monkeypatch):
     monkeypatch.setattr(sim.np, "zeros", no_allocation)
     calls = []
     with pytest.raises(sim.CapacityError):
-        sim.graph_state(control, 2, calls.append)
+        sim.GraphState(control, 2, calls.append).materialize()
     assert calls == []
 
 
@@ -220,12 +256,16 @@ def test_graph_state_calls_cells_of_once_with_the_nonzero_rows():
         calls.append(rows.tolist())
         return np.array([1, 0])
 
-    state = sim.graph_state(control, 1, cells_of)
+    state = sim.GraphState(control, 1, cells_of).materialize()
     assert calls == [[0, 3]]
     assert np.array_equal(state.amplitudes, [0, 0.6, 0, 0, 0, 0, 0.8, 0])
 
 
 # --- measurement --------------------------------------------------------------
+
+
+def dense(state):
+    return state.materialize() if isinstance(state, sim.GraphState) else state
 
 
 def test_measure_control_matches_measure_then_slice_over_seeds():
@@ -235,15 +275,18 @@ def test_measure_control_matches_measure_then_slice_over_seeds():
     rng = np.random.default_rng(8)
     haar = sim.controlled_state(sim.haar_random_state(2, rng), 3,
                                 lambda x: sim.haar_random_state(3, rng).amplitudes)
-    for state, control_width in ((prfs_key.state, 3), (slot, 3), (haar, 2)):
+    for state, control_width in ((prfs_key.state, 3), (slot, 3), (slot.materialize(), 3),
+                                 (haar, 2)):
         for seed in range(60):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             x, block = next(sim.measure_control(state, control_width, rng_a))
-            x_ref, block_ref = reference_measure_block(state, control_width, rng_b)
+            x_ref, block_ref = reference_measure_block(dense(state), control_width, rng_b)
             assert x == x_ref
             assert block.qubit_count == state.qubit_count - control_width
             assert same_bits(block.amplitudes, block_ref)
             assert rng_a.random() == rng_b.random()
+    with pytest.raises(ValueError, match="3-qubit control"):
+        next(sim.measure_control(slot, 2, np.random.default_rng(0)))
 
 
 def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeypatch):
@@ -254,7 +297,8 @@ def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeyp
     references = []
     for state, control_width, seed in cases:
         rng = np.random.default_rng(seed)
-        references.append((*reference_measure_block(state, control_width, rng), rng.random()))
+        references.append((*reference_measure_block(dense(state), control_width, rng),
+                           rng.random()))
 
     def full_size(*args, **kwargs):
         raise AssertionError("measure_control built a full-size post-measurement state")
@@ -269,10 +313,11 @@ def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeyp
         assert rng.random() == next_ref
 
 
-@pytest.mark.parametrize("lam,m,t,seeds", [(4, 1, 2, 1000), (8, 1, 6, 100)])
+@pytest.mark.parametrize("lam,m,t,seeds", [(4, 1, 2, 1000), (8, 1, 6, 100), (4, 2, 2, 400),
+                                           (6, 3, 3, 200)])
 def test_slot_measurements_draw_what_single_copy_measurements_drew(lam, m, t, seeds):
     scheme = PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, m, t)))
-    state = scheme.qpk_gen(DecryptionKey("1" * lam)).state
+    state = scheme.qpk_gen(DecryptionKey("1" * lam)).state.materialize()
     for seed in range(seeds):
         qpk = scheme.qpk_gen(DecryptionKey("1" * lam))
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -294,5 +339,5 @@ def test_slot_measurements_compute_the_control_marginal_once(monkeypatch):
 
     monkeypatch.setattr(sim, "born_probabilities", counting)
     scheme._measure_slots(qpk, np.random.default_rng(3))
-    # one marginal over the 15-qubit key, then one per 7-qubit block that `delete` measures
-    assert measured == [lam + 7] + [7] * lam
+    # one marginal over the 8-qubit control, then one per 7-qubit block that `delete` measures
+    assert measured == [lam] + [7] * lam

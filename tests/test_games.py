@@ -314,6 +314,27 @@ def test_cloning_input_of_the_wrong_width_is_invalid(rng, adversary):
     assert not t.valid and not t.win
 
 
+class _Raises(CloningAdversary):
+    def run(self, gen_oracle, ver_oracle, rng):
+        raise RuntimeError("cloner bug")
+
+
+class _WritesToOracleAnswer(CloningAdversary):
+    def run(self, gen_oracle, ver_oracle, rng):
+        gen_oracle("000").amplitudes[:] = 0.0
+        return "000", []
+
+
+@pytest.mark.parametrize("adversary", [_Raises(), _WritesToOracleAnswer()],
+                         ids=["raises", "writes-oracle-answer"])
+def test_cloning_with_a_raising_cloner_is_invalid(rng, adversary):
+    pd = ToyPrfspd(PrfspdParams(3, 3, 1, 2))
+    t = run_prfspd_cloning(pd, adversary, rng)
+    assert not t.valid and not t.win
+    # the family's cached state survives the attempted write
+    assert np.count_nonzero(pd.gen(t.dk_bits, "000").amplitudes) == 2
+
+
 # --- estimator --------------------------------------------------------------
 
 

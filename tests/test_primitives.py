@@ -417,3 +417,20 @@ def test_family_cache_reuses_states_and_stays_bounded(make_family):
         sizes.append(len(family._cache))
     assert max(sizes) == 8193
     assert sizes[-1] < 8193  # emptied once it held more than 8192
+
+
+
+@pytest.mark.parametrize("make_family", [
+    lambda: PhasePrfs(PrfsParams(3, 3, 2)),
+    lambda: ToyPrfspd(PrfspdParams(3, 3, 1, 2)),
+], ids=["phase-prfs", "toy-prfspd"])
+def test_family_cache_hands_out_read_only_states(make_family):
+    family = make_family()
+    state = family.gen("101", "011")
+    before = state.amplitudes.copy()
+    with pytest.raises(ValueError):
+        state.amplitudes[:] = 0.0
+    with pytest.raises(ValueError):
+        state.amplitudes[0] *= -1
+    assert family.gen("101", "011") is state
+    assert np.array_equal(state.amplitudes, before)

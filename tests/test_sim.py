@@ -216,7 +216,7 @@ def _zero_control_state():
 @pytest.mark.parametrize("build,control_width", [
     (lambda: OwfScheme(7).qpk_gen(DecryptionKey("1011001")).state, None),
     (lambda: PrfspdScheme(4, ToyPrfspd(PrfspdParams(4, 4, 1, 2))).qpk_gen(
-        DecryptionKey("0110")).state, None),
+        DecryptionKey("0110")).state.materialize(), None),
     (_zero_ends_state, None),
     (lambda: sim.basis_state(5, "10110"), None),
     (_zero_control_state, 2),
