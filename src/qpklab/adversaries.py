@@ -12,16 +12,22 @@ import numpy as np
 
 from . import sim
 from .bits import random_bits, xor_bits
-from .schemes import PrfsScheme, Scheme3Ciphertext
+from .schemes import PrfsScheme
 
 
 class AdversaryStrategy:
-    """Callback interface the challengers drive; subclass and override."""
+    """Callback interface the challengers drive; subclass and override.
+
+    The base keeps the challenge pair (`pair`, the scheme's default unless a
+    strategy sets one) and the last challenge ciphertext (`challenge_ct`).
+    """
 
     # the schemes whose keys and ciphertexts the strategy can read
     supported_schemes = ("owf", "prfspd", "prfs")
     key_copy_budget = 16
     query_budget = 16
+    pair = None
+    challenge_ct = None
 
     def begin(self, scheme, rng: np.random.Generator):
         self.scheme = scheme
@@ -40,19 +46,21 @@ class AdversaryStrategy:
         pass
 
     def choose_challenge(self):
-        raise NotImplementedError
+        if self.pair is None:
+            self.pair = ("0", "1") if isinstance(self.scheme, PrfsScheme) else ("0" * 8, "1" * 8)
+        return self.pair
 
     def receive_challenge(self, ct):
-        pass
+        self.challenge_ct = ct
 
     def guess(self) -> int:
         raise NotImplementedError
 
-
-def _default_challenge(scheme):
-    if isinstance(scheme, PrfsScheme):
-        return "0", "1"
-    return "0" * 8, "1" * 8
+    def _guess_plaintext(self, message) -> int:
+        """The index of `message` in the challenge pair, else one fair coin."""
+        if message in self.pair:
+            return self.pair.index(message)
+        return int(self.rng.integers(2))
 
 
 class RandomGuessAdversary(AdversaryStrategy):
@@ -67,18 +75,12 @@ class RandomGuessAdversary(AdversaryStrategy):
             return "0" * 8
         return None
 
-    def choose_challenge(self):
-        return _default_challenge(self.scheme)
-
     def guess(self):
         return int(self.rng.integers(2))
 
 
 class AlwaysZeroAdversary(AdversaryStrategy):
     """Constant guess; wins exactly when the challenge bit is 0."""
-
-    def choose_challenge(self):
-        return _default_challenge(self.scheme)
 
     def guess(self):
         return 0
@@ -103,7 +105,6 @@ class StateComparisonAdversary(AdversaryStrategy):
     def __init__(self, amplified: bool = True):
         self.amplified = amplified
         self.copy = None
-        self.accepted = None
 
     def num_key_copies(self):
         return 1
@@ -111,19 +112,15 @@ class StateComparisonAdversary(AdversaryStrategy):
     def receive_public_key_copy(self, qpk):
         self.copy = qpk.state
 
-    def choose_challenge(self):
-        return "0", "1"
-
-    def receive_challenge(self, ct: Scheme3Ciphertext):
+    def guess(self):
+        payload = self.challenge_ct.payload
         _x, reference = next(sim.measure_control(self.copy, self.scheme.prfs.params.input_width,
                                                  self.rng))
         if self.amplified:
-            self.accepted, _ = sim.project_onto(ct.payload, reference, self.rng)
+            accepted, _ = sim.project_onto(payload, reference, self.rng)
         else:
-            self.accepted = sim.swap_test(reference, ct.payload, self.rng)
-
-    def guess(self):
-        return 0 if self.accepted else 1
+            accepted = sim.swap_test(reference, payload, self.rng)
+        return 0 if accepted else 1
 
 
 class CopyMeasureAdversary(AdversaryStrategy):
@@ -135,7 +132,6 @@ class CopyMeasureAdversary(AdversaryStrategy):
     def __init__(self, copies: int = 8, pair=None):
         self.copies = copies
         self.seen: dict[str, str] = {}
-        self.challenge_ct = None
         self.pair = pair
 
     def num_key_copies(self):
@@ -146,23 +142,10 @@ class CopyMeasureAdversary(AdversaryStrategy):
         lam = self.scheme.security_param
         self.seen[outcome[:lam]] = outcome[lam:]
 
-    def choose_challenge(self):
-        if self.pair is None:
-            self.pair = _default_challenge(self.scheme)
-        return self.pair
-
-    def receive_challenge(self, ct):
-        self.challenge_ct = ct
-
     def guess(self):
         ct = self.challenge_ct
-        if ct is not None and ct.x in self.seen:
-            message = self.scheme.ske.decrypt(self.seen[ct.x], ct.body)
-            if message == self.pair[0]:
-                return 0
-            if message == self.pair[1]:
-                return 1
-        return int(self.rng.integers(2))
+        key = self.seen.get(ct.x)
+        return self._guess_plaintext(None if key is None else self.scheme.ske.decrypt(key, ct.body))
 
 
 class PadReuseAdversary(AdversaryStrategy):
@@ -172,31 +155,24 @@ class PadReuseAdversary(AdversaryStrategy):
     supported_schemes = ("owf", "prfspd")
 
     def __init__(self, width: int = 8):
-        self.width = width
+        self.pair = ("0" * width, "1" * width)
         self.query_body = None
-        self.challenge_body = None
         self.queried = False
 
     def encryption_query(self):
         if self.queried:
             return None
         self.queried = True
-        return "0" * self.width
+        return self.pair[0]
 
     def receive_ciphertext(self, ct):
         self.query_body = ct.body.body
 
-    def choose_challenge(self):
-        return "0" * self.width, "1" * self.width
-
-    def receive_challenge(self, ct):
-        self.challenge_body = ct.body.body
-
     def guess(self):
-        if self.query_body is None or self.challenge_body is None:
+        if self.query_body is None:
             return int(self.rng.integers(2))
-        recovered = xor_bits(self.query_body, self.challenge_body)
-        return 0 if recovered == "0" * self.width else 1
+        recovered = xor_bits(self.query_body, self.challenge_ct.body.body)
+        return 0 if recovered == self.pair[0] else 1
 
 
 class KeyReadoutAdversary(AdversaryStrategy):
@@ -205,32 +181,14 @@ class KeyReadoutAdversary(AdversaryStrategy):
 
     supported_schemes = ("prfspd",)
 
-    def __init__(self):
-        self.challenge_ct = None
-        self.pair = None
-
-    def choose_challenge(self):
-        self.pair = _default_challenge(self.scheme)
-        return self.pair
-
-    def receive_challenge(self, ct):
-        self.challenge_ct = ct
-
     def guess(self):
         ct = self.challenge_ct
-        if ct is None:
-            return int(self.rng.integers(2))
         m = self.scheme.prfspd.params.measured_width
         tag_width = self.scheme.prfspd.params.tag_width
         key = "".join(
             "1" if y_tilde[m:] == "0" * tag_width else "0" for _x, y_tilde in ct.slots
         )
-        message = self.scheme.ske.decrypt(key, ct.body)
-        if message == self.pair[0]:
-            return 0
-        if message == self.pair[1]:
-            return 1
-        return int(self.rng.integers(2))
+        return self._guess_plaintext(self.scheme.ske.decrypt(key, ct.body))
 
 
 # --- cloning-game adversaries ---------------------------------------------

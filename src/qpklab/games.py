@@ -1,9 +1,12 @@
 """Executable security games: challengers, transcripts, advantage estimation.
 
 The challenger drives a synchronous adversary object through the game's turn
-structure. Protocol violations (malformed or mismatched messages, blown
-budgets) never escape as exceptions: the transcript is marked invalid and
-counted as a loss, so estimators stay total.
+structure, and this module is the one boundary around adversary code: every
+callback runs through `_adversary`. Anything adversary code raises, any blown
+budget and any malformed message never escape as exceptions: the transcript
+is marked invalid and counted as a loss, so estimators stay total. A scheme
+exception other than a `SchemeError` is a fault of the scheme, not of the
+adversary, and propagates.
 """
 
 from __future__ import annotations
@@ -66,43 +69,42 @@ class AdvantageEstimate:
         assert lo - 1e-12 <= self.estimate <= hi + 1e-12
 
 
-def _finish(transcript: GameTranscript, adversary, b: int) -> GameTranscript:
+def _adversary(call, *args):
+    """Run adversary code: `call(*args)`. A `ProtocolViolation` (a blown budget
+    or a malformed submission, judged in the code it runs) passes through;
+    anything else it raises becomes one, so no adversary stops an estimate."""
     try:
-        guess = int(adversary.guess())
-    except Exception:
-        transcript.valid = False
-        transcript.win = False
-        return transcript
-    if guess not in (0, 1):
-        transcript.valid = False
-        transcript.win = False
-        return transcript
-    transcript.guess = guess
-    transcript.win = transcript.valid and guess == b
-    transcript.add_event("guess", "adversary", str(guess))
-    return transcript
+        return call(*args)
+    except ProtocolViolation:
+        raise
+    except Exception as exc:  # the game's boundary around code it does not trust
+        raise ProtocolViolation(f"adversary raised {exc!r}") from exc
 
 
-def _give_key_copies(scheme, dk, adversary, transcript):
-    copies = min(int(adversary.num_key_copies()), adversary.key_copy_budget, HARD_QUERY_CAP)
-    for _ in range(copies):
-        adversary.receive_public_key_copy(scheme.qpk_gen(dk))
-        transcript.add_event("setup", "challenger", "qpk-copy")
+def _check_count(count: int, budget: int, what: str) -> int:
+    """`count`, if the adversary may have that many: an integer in [0, min(budget, cap)]."""
+    if not 0 <= count <= min(budget, HARD_QUERY_CAP):
+        raise ProtocolViolation(f"{what} count {count!r} is outside the budget")
+    return count
 
 
-def _query_phase(scheme, adversary, qpk, rng, transcript, budget_state):
+def _challenge_pair(adversary) -> tuple:
+    """The adversary's two challenge messages; any other shape is its fault."""
+    m0, m1 = adversary.choose_challenge()
+    return m0, m1
+
+
+def _query_phase(scheme, adversary, qpk, rng, transcript):
     """Drain one encryption-query phase; the adversary stops with None."""
     while True:
-        message = adversary.encryption_query()
+        message = _adversary(adversary.encryption_query)
         if message is None:
             return qpk
-        budget_state[0] += 1
-        if budget_state[0] > min(adversary.query_budget, HARD_QUERY_CAP):
-            raise ProtocolViolation("encryption-query budget exceeded")
+        _check_count(len(transcript.queries) + 1, adversary.query_budget, "encryption-query")
         qpk, ct = scheme.encrypt(qpk, message, rng)
         transcript.queries.append(message)
         transcript.add_event("query", "adversary", message)
-        adversary.receive_ciphertext(ct)
+        _adversary(adversary.receive_ciphertext, ct)
 
 
 def _run_challenger(scheme, adversary, rng, game, chains, challenges, queries):
@@ -113,30 +115,37 @@ def _run_challenger(scheme, adversary, rng, game, chains, challenges, queries):
     transcript = GameTranscript(game, scheme.security_param)
     dk = scheme.gen(rng)
     transcript.dk_bits = dk.bits
-    adversary.begin(scheme, rng)
-    b = int(rng.integers(2))
-    transcript.challenge_bit = b
-    budget_state = [0]
     try:
-        _give_key_copies(scheme, dk, adversary, transcript)
+        _adversary(adversary.begin, scheme, rng)
+        b = transcript.challenge_bit = int(rng.integers(2))
+        copies = _adversary(lambda: int(adversary.num_key_copies()))
+        for _ in range(_check_count(copies, adversary.key_copy_budget, "key-copy")):
+            _adversary(adversary.receive_public_key_copy, scheme.qpk_gen(dk))
+            transcript.add_event("setup", "challenger", "qpk-copy")
         for _chain in range(chains):
             qpk = scheme.qpk_gen(dk)
             for _challenge in range(challenges):
                 if queries:
-                    qpk = _query_phase(scheme, adversary, qpk, rng, transcript, budget_state)
-                m0, m1 = adversary.choose_challenge()
+                    qpk = _query_phase(scheme, adversary, qpk, rng, transcript)
+                m0, m1 = _adversary(_challenge_pair, adversary)
                 scheme.check_messages(m0, m1)
                 transcript.challenge = (m0, m1)
                 transcript.add_event("challenge", "adversary", f"{m0},{m1}")
                 qpk, ct = scheme.encrypt(qpk, (m0, m1)[b], rng)
-                adversary.receive_challenge(ct)
+                _adversary(adversary.receive_challenge, ct)
                 transcript.add_event("challenge", "challenger", "ct*")
                 if queries:
-                    qpk = _query_phase(scheme, adversary, qpk, rng, transcript, budget_state)
-    except (ProtocolViolation, SchemeError, KeyError, IndexError):
+                    qpk = _query_phase(scheme, adversary, qpk, rng, transcript)
+        guess = _adversary(lambda: int(adversary.guess()))
+        if guess not in (0, 1):
+            raise ProtocolViolation(f"guess {guess} is not a bit")
+    except (ProtocolViolation, SchemeError):
         transcript.valid = False
         return transcript
-    return _finish(transcript, adversary, b)
+    transcript.guess = guess
+    transcript.win = guess == b
+    transcript.add_event("guess", "adversary", str(guess))
+    return transcript
 
 
 def run_ind_cpa(scheme: QpkeScheme, adversary, rng: np.random.Generator) -> GameTranscript:
@@ -170,8 +179,8 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
     generator queries for some input.
 
     An input or a proof of the wrong width, queried or submitted, is a
-    protocol violation. A violation, or a cloner that raises, marks the
-    transcript invalid and lost."""
+    protocol violation, as is a blown query budget. A violation, or a cloner
+    that raises, marks the transcript invalid and lost."""
     transcript = GameTranscript("cloning", prfspd.params.key_width)
     key = random_bits(prfspd.params.key_width, rng)
     transcript.dk_bits = key
@@ -186,30 +195,40 @@ def run_prfspd_cloning(prfspd: ToyPrfspd, adversary, rng) -> GameTranscript:
         except ValueError as exc:
             raise ProtocolViolation(str(exc)) from exc
 
+    def judge_query(oracle, budget, x, *proofs):
+        """Count and check one oracle query. The checks run inside the cloner's
+        own code, so a violation marks the transcript at once: a cloner that
+        catches it still loses."""
+        budgets[oracle] += 1
+        try:
+            _check_count(budgets[oracle], budget, f"{oracle}-query")
+            well_formed(x, *proofs)
+        except ProtocolViolation:
+            transcript.valid = False
+            raise
+
     def gen_oracle(x):
-        budgets["gen"] += 1
-        if budgets["gen"] > min(adversary.gen_budget, HARD_QUERY_CAP):
-            raise ProtocolViolation("generator-query budget exceeded")
-        well_formed(x)
+        judge_query("gen", adversary.gen_budget, x)
         counts[x] = counts.get(x, 0) + 1
         transcript.add_event("query", "adversary", f"gen:{x}")
         return prfspd.gen(key, x)
 
     def ver_oracle(x, proof_bits):
-        budgets["ver"] += 1
-        if budgets["ver"] > min(adversary.ver_budget, HARD_QUERY_CAP):
-            raise ProtocolViolation("verifier-query budget exceeded")
-        well_formed(x, proof_bits)
+        judge_query("ver", adversary.ver_budget, x, proof_bits)
         transcript.add_event("query", "adversary", f"ver:{x}")
         return prfspd.verify(key, x, proof_bits)
 
-    try:
+    def submission():
         x, proofs = adversary.run(gen_oracle, ver_oracle, rng)
         proofs = tuple(proofs)
         well_formed(x, *proofs)
-    except Exception:  # the cloner's own code runs here, as in `_finish`
+        return x, proofs
+
+    try:
+        x, proofs = _adversary(submission)
+    except ProtocolViolation:
         transcript.valid = False
-        transcript.win = False
+    if not transcript.valid:
         return transcript
     t = counts.get(x, 0)
     transcript.challenge = (x, proofs)
@@ -225,15 +244,15 @@ def estimate_advantage(runner, trials: int, rng: np.random.Generator) -> Advanta
     """Run `runner(child_rng) -> GameTranscript` over independent seeded trials.
 
     Reports the win fraction with a 95% Wilson binomial confidence interval.
-    Trials use rng streams split from the master generator, merged by trial
-    index, so results are reproducible bit-exactly under a fixed seed.
+    Each trial runs on the next child stream spawned from the master
+    generator, so results are reproducible bit-exactly under a fixed seed.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful estimate")
     wins = 0
-    for child in rng.spawn(trials):
-        transcript = runner(child)
-        wins += int(transcript.win)
+    for _ in range(trials):
+        # spawned as it runs: the streams of rng.spawn(trials), without holding them all
+        wins += int(runner(rng.spawn(1)[0]).win)
     estimate = wins / trials
     return AdvantageEstimate(trials, wins, estimate, wilson_interval(wins, trials, Z_95))
 

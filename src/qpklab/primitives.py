@@ -305,8 +305,7 @@ class ToyPrfspd(_StateFamily):
         the whole state is built, and neither `gen` nor its cache is used."""
         if control.qubit_count != self.params.input_width:
             raise sim.DimensionMismatchError("input register width does not match d")
-        return sim.GraphState(control, self.params.output_qubits, partial(self._cells, key),
-                              (1 << self.params.measured_width) ** -0.5)
+        return sim.GraphState(control, self.params.output_qubits, partial(self._cells, key))
 
     def _isometry(self, key, state):
         return self.graph(key, state).materialize()

@@ -177,15 +177,15 @@ class GraphState:
     the joint state exists until `materialize` writes them all, and
     `measure_control` builds only the blocks it draws. `cells_of` maps an
     integer array of control values x with a_x != 0 to the block's basis
-    indices that carry amplitude c = `block_amplitude`: one row of indices
-    per x (or one index per x), the same number for every x. Each amplitude
-    is the product a_x * c that `controlled_state` gives for the same block.
+    indices that carry amplitude c: one row of indices per x (or one index
+    per x), the same number k for every x. c = k^(-1/2), the one size for
+    which the state is a unit vector. Each amplitude is the product a_x * c
+    that `controlled_state` gives for the same block.
     """
 
     control: PureState
     block_qubits: int
     cells_of: object = field(repr=False)
-    block_amplitude: float = 1.0
 
     @property
     def qubit_count(self) -> int:
@@ -202,14 +202,15 @@ class GraphState:
         rows = np.flatnonzero(self.control.amplitudes)
         cells = self._cells(rows)
         amps = np.zeros((self.control.dim, 1 << self.block_qubits), dtype=np.complex128)
-        amps[rows[:, None], cells] = self.control.amplitudes[rows, None] * self.block_amplitude
+        amps[rows[:, None], cells] = self.control.amplitudes[rows, None] * cells.shape[1] ** -0.5
         return PureState(self.qubit_count, amps.reshape(-1))
 
     def _block(self, xv: int) -> np.ndarray:
         """The amplitudes of x = `xv`'s block as `materialize` writes them, not
         renormalized: one call of `cells_of`, for x alone."""
         amps = np.zeros(1 << self.block_qubits, dtype=np.complex128)
-        amps[self._cells(np.array([xv]))[0]] = self.control.amplitudes[xv] * self.block_amplitude
+        cells = self._cells(np.array([xv]))[0]
+        amps[cells] = self.control.amplitudes[xv] * len(cells) ** -0.5
         return amps
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binomtest, chisquare
 
 from qpklab.adversaries import (
+    ADVERSARIES,
     AdversaryStrategy,
     AlwaysZeroAdversary,
     CloningAdversary,
@@ -15,6 +16,7 @@ from qpklab.adversaries import (
     RandomGuessAdversary,
 )
 from qpklab.bits import random_bits
+from qpklab.cli import build_scheme
 from qpklab.primitives import PhasePrfs, PrfsParams, PrfspdParams, ToyPrfspd
 from qpklab.schemes import CapabilityError, OwfScheme, PrfsScheme, PrfspdScheme
 from qpklab.games import (
@@ -180,6 +182,99 @@ def test_prfs_scheme_rejected_in_eo_game(rng):
         run_ind_cpa_eo(make_prfs_scheme(), RandomGuessAdversary(), rng)
 
 
+# --- the adversary boundary ------------------------------------------------
+
+
+class _Exercises(AlwaysZeroAdversary):
+    """Takes one key copy and makes one query, so every callback runs."""
+
+    queried = False
+
+    def num_key_copies(self):
+        return 1
+
+    def encryption_query(self):
+        if self.queried:
+            return None
+        self.queried = True
+        return "0" * 8
+
+
+def _raising_in(callback):
+    def bug(self, *args):
+        raise RuntimeError(f"adversary bug in {callback}")
+
+    return type("RaisesIn", (_Exercises,), {callback: bug})()
+
+
+_CPA_CALLBACKS = ["begin", "num_key_copies", "receive_public_key_copy", "choose_challenge",
+                  "receive_challenge", "guess"]
+_EO_CALLBACKS = _CPA_CALLBACKS + ["encryption_query", "receive_ciphertext"]
+
+
+@pytest.mark.parametrize("game, callback",
+                         [(run_ind_cpa, c) for c in _CPA_CALLBACKS]
+                         + [(run_ind_cpa_eo, c) for c in _EO_CALLBACKS])
+def test_an_adversary_that_raises_loses_an_invalid_game(rng, game, callback):
+    scheme = OwfScheme(3)
+    assert game(scheme, _Exercises(), rng).valid
+    t = game(scheme, _raising_in(callback), rng)
+    assert t.valid is False and t.win is False
+    est = estimate_advantage(lambda c: game(scheme, _raising_in(callback), c), 100, rng)
+    assert est.wins == 0
+
+
+@pytest.mark.parametrize("copies", ["many", -5, 17, 1000])
+def test_a_key_copy_count_outside_the_budget_is_a_violation(rng, copies):
+    class Asks(AlwaysZeroAdversary):
+        def num_key_copies(self):
+            return copies
+
+    t = run_ind_cpa(OwfScheme(3), Asks(), rng)
+    assert t.valid is False and t.win is False
+    assert "qpk-copy" not in t.to_lines()
+
+
+def test_key_copies_up_to_the_budget_are_given(rng):
+    class AsksAll(AlwaysZeroAdversary):
+        def num_key_copies(self):
+            return self.key_copy_budget
+
+    t = run_ind_cpa(OwfScheme(3), AsksAll(), rng)
+    assert t.valid
+    assert [e for e in t.events if e[0] == "setup"] == [("setup", "challenger", "qpk-copy")] * 16
+
+
+def test_a_scheme_fault_that_is_not_a_scheme_error_propagates(rng, monkeypatch):
+    def broken_encrypt(self, qpk, message, rng):
+        raise KeyError("scheme bug")
+
+    monkeypatch.setattr(OwfScheme, "encrypt", broken_encrypt)
+    with pytest.raises(KeyError, match="scheme bug"):
+        run_ind_cpa(OwfScheme(3), AlwaysZeroAdversary(), rng)
+
+
+def _pairings():
+    for name, adv_cls in sorted(ADVERSARIES.items()):
+        for scheme_name in adv_cls.supported_schemes:
+            yield name, scheme_name, "cpa"
+            if build_scheme(scheme_name, 2, 0, 1).supports_encryption_oracle:
+                yield name, scheme_name, "cpa-eo"
+                yield name, scheme_name, "cpa-eo-multi"
+
+
+@pytest.mark.parametrize("name, scheme_name, game", list(_pairings()))
+def test_every_built_in_adversary_plays_its_schemes_validly(rng, name, scheme_name, game):
+    scheme = build_scheme(scheme_name, 2, 0, 1)
+    for child in rng.spawn(30):
+        adversary = ADVERSARIES[name]()
+        if game == "cpa":
+            t = run_ind_cpa(scheme, adversary, child)
+        else:
+            t = run_ind_cpa_eo(scheme, adversary, child, multi=game == "cpa-eo-multi")
+        assert t.valid, (name, scheme_name, game)
+
+
 # --- encryption-oracle game -------------------------------------------------
 
 
@@ -277,6 +372,27 @@ def test_cloning_budget_enforced(rng):
     assert not t.valid and not t.win
 
 
+@pytest.mark.parametrize("queries", [
+    lambda gen_oracle, ver_oracle: [gen_oracle("000") for _ in range(5)],
+    lambda gen_oracle, ver_oracle: gen_oracle("0"),
+], ids=["over-budget", "malformed"])
+def test_a_cloner_that_catches_its_violation_still_loses(rng, queries):
+    pd = ToyPrfspd(PrfspdParams(3, 3, 1, 2))
+
+    class Swallows(CloningAdversary):
+        gen_budget = 1
+
+        def run(self, gen_oracle, ver_oracle, rng):
+            try:
+                queries(gen_oracle, ver_oracle)
+            except Exception:
+                pass
+            return "000", ["000", "001"]
+
+    t = run_prfspd_cloning(pd, Swallows(), rng)
+    assert t.valid is False and t.win is False
+
+
 def test_cloning_ver_oracle_available(rng):
     pd = ToyPrfspd(PrfspdParams(3, 3, 1, 3))
 
@@ -312,6 +428,12 @@ def test_cloning_input_of_the_wrong_width_is_invalid(rng, adversary):
     pd = ToyPrfspd(PrfspdParams(3, 3, 1, 2))
     t = run_prfspd_cloning(pd, adversary, rng)
     assert not t.valid and not t.win
+
+
+def test_a_cloner_submitting_a_malformed_proof_list_is_invalid(rng):
+    pd = ToyPrfspd(PrfspdParams(3, 3, 1, 2))
+    t = run_prfspd_cloning(pd, _Submits("000", 5), rng)
+    assert t.valid is False and t.win is False
 
 
 class _Raises(CloningAdversary):
@@ -369,6 +491,19 @@ def test_estimator_reproducible():
 
     assert run(42) == run(42)
     assert run(42) != run(43)
+
+
+def test_estimator_runs_the_streams_of_one_up_front_spawn():
+    scheme = make_prfs_scheme()
+
+    def runner(child):
+        return run_ind_cpa(scheme, RandomGuessAdversary(), child)
+
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    est = estimate_advantage(runner, 200, rng)
+    assert est.wins == sum(runner(child).win for child in reference.spawn(200))
+    assert rng.random() == reference.random()
+    assert rng.spawn(1)[0].random() == reference.spawn(1)[0].random()
 
 
 def test_estimate_invariants(rng):
