@@ -5,7 +5,8 @@ the commuting-measurement equality, the punctured-key trace distance, the
 real-vs-fresh-key distribution identity, and the Helstrom bound on any
 adversary's distinguishing advantage. Random-function modes replace the keyed
 function with a truly random one so the results reflect information-theoretic
-structure only.
+structure only. The commuting, random-key and Helstrom oracles return a
+`Check` record: the value, its reference if any, and the verdict.
 
 Every value is exact; each oracle works only on the support that carries
 amplitude or rank:
@@ -42,24 +43,28 @@ from .sim import PureState, WireRange
 
 
 @dataclass(frozen=True)
-class HybridReport:
-    pair: str
-    metric: str
+class Check:
+    """The value of `check` at `case`, and its verdict: it fails when `reference`
+    lies farther than `tolerance` from an EXACT value, or outside an EMPIRICAL
+    rate's Wilson `interval`. With no reference yet it never fails."""
+
+    check: str
+    case: str
     value: float
-    params: dict
+    details: str
+    flag: str = "EXACT"
+    reference: float | None = None
+    tolerance: float = 0.0
+    interval: tuple[float, float] | None = None
+    fmt: str = ".9f"  # how the value is printed
 
     def __post_init__(self):
         assert -1e-12 <= self.value <= 1 + 1e-12
 
-
-@dataclass(frozen=True)
-class EnsembleAdvantage:
-    scheme: str
-    security_param: int
-    copies: int
-    value: float
-    exact: bool
-    mode: str
+    @property
+    def failed(self) -> bool:
+        lo, hi = self.interval or (self.value - self.tolerance, self.value + self.tolerance)
+        return self.reference is not None and not lo <= self.reference <= hi
 
 
 def _check_sizes(lam: int, copies: int = 0, queries: int = 0, output_width: int = 1) -> None:
@@ -207,16 +212,16 @@ def _joint_key_state(lam: int, copies: int, dk_bits: str):
 
 
 def commuting_measurement_check(lam: int, copies: int = 2,
-                                dk_bits: str | None = None) -> HybridReport:
+                                dk_bits: str | None = None) -> Check:
     """Measure-before vs measure-after equality for the PRF-based public key.
 
     Tensors p+1 copies of the key on its support (challenger's copy plus p
     adversary copies, `_joint_key_state`), (p+1)*lam qubits, and compares the
     exact joint distribution of all input-register outcomes when the
     challenger measures last versus first, by sequential sliced projections
-    (see `_joint_distribution`). The two orderings must coincide; the report
-    carries their total-variation distance. The capacity guard counts the
-    (p+1)(lam+n) qubits of the dense copies, and lam > 3 raises.
+    (see `_joint_distribution`); the record judges the total-variation
+    distance of the two orderings against 0, to 1e-12. The capacity guard
+    counts the (p+1)(lam+n) qubits of the dense copies, and lam > 3 raises.
     """
     _check_sizes(lam, copies)
     if lam > 3:
@@ -227,22 +232,21 @@ def commuting_measurement_check(lam: int, copies: int = 2,
     measure_last = _joint_distribution(joint, ranges[1:] + ranges[:1])
     measure_first = _joint_distribution(joint, ranges)
     tv = total_variation(measure_last, measure_first)
-    return HybridReport(
-        "H0-H1", "total-variation", tv, {"lam": lam, "copies": copies}
-    )
+    return Check("commuting", f"lam={lam}", tv, "H0-H1", reference=0.0, tolerance=1e-12,
+                 fmt=".3e")
 
 
 # --- real key vs fresh random key -----------------------------------------
 
 
-def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridReport:
+def random_key_indistinguishability_check(lam: int, queries: int = 3) -> Check:
     """Exact H(x*)-as-key vs fresh-z-as-key distribution comparison.
 
     The function is a uniformly random one-bit table. The adversary sees the
     punctured key (determined by the table off x*), x*, and the bodies of the
     oracle answers to the message "10". Enumerates every table, key value, and
-    nonce draw; returns the total-variation distance between the two
-    visible-data distributions.
+    nonce draw; the record holds the total-variation distance between the two
+    visible-data distributions, judged against 0 to 1e-12.
     """
     _check_sizes(lam, queries=queries)
     if lam > 3:
@@ -267,8 +271,8 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> HybridR
                             yield x_star, rest, answers
 
     tv = total_variation(_uniform_over(visible(True)), _uniform_over(visible(False)))
-    return HybridReport("H3-H4", "total-variation", tv,
-                        {"lam": lam, "queries": queries})
+    return Check("random-key", f"lam={lam},queries={queries}", tv, "H3-H4",
+                 reference=0.0, tolerance=1e-12, fmt=".3e")
 
 
 # --- Helstrom bound on the distinguishing advantage -----------------------
@@ -366,7 +370,7 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
 
 
 def optimal_advantage(scheme: str, lam: int, copies: int, messages,
-                      output_qubits: int = 2, mode: str = "prf") -> EnsembleAdvantage:
+                      output_qubits: int = 2, mode: str = "prf") -> Check:
     """Helstrom bound: trace distance between the two challenge ensembles.
 
     The value upper-bounds any adversary's game advantage (win probability
@@ -374,7 +378,8 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
     copies plus the challenge ciphertext. The scheme enumerates both
     ensembles (`owf` random mode: the keyless `random_function_ensemble`) and
     `_gram_distance` solves them; the `prfs` random mode solves one x* block
-    of rho0 against rho1 = w*I, the others being permutations of it.
+    of rho0 against rho1 = w*I, the others being permutations of it. The
+    record has no reference yet.
     """
     kind = {"prfs": PrfsScheme, "owf": OwfScheme}.get(scheme)
     if kind is None or mode not in ("prf", "random"):
@@ -395,4 +400,4 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
         raise ValueError("random-function mode for this scheme supports 0 copies")
     else:
         value = _gram_distance(OwfScheme.random_function_ensemble(lam, m0, m1), copies)
-    return EnsembleAdvantage(scheme, lam, copies, value, True, mode)
+    return Check("helstrom", f"lam={lam},p={copies}", value, f"mode={mode}")

@@ -3,13 +3,16 @@
 Three subcommands: `correctness` (round-trip suites), `game` (security-game
 estimates), `analyze` (exact proof-quantity oracles). Every run is seeded and
 reports carry the full configuration, so identical invocations produce
-byte-identical output. Exit status: 0 success, 1 acceptance-check failure,
-2 configuration error.
+byte-identical output. Each `correctness` and `analyze` row is an
+`analysis.Check` record with its reference and verdict. Exit status: 0
+success, 1 some record failed its check, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 
@@ -22,6 +25,7 @@ from .adversaries import (
     HonestPlusRandomCloner,
     LuckyCloner,
 )
+from .analysis import Check
 from .bits import int_to_bits, random_bits
 from .games import (
     estimate_advantage,
@@ -70,8 +74,6 @@ def adversary_class(scheme: str, name: str):
 
 
 def build_scheme(name, lam, n, m):
-    if lam < 1:
-        raise ConfigError("lambda out of range")
     try:
         if name == "owf":
             return OwfScheme(lam, prf_output_width=n or min(lam, 8))
@@ -79,8 +81,7 @@ def build_scheme(name, lam, n, m):
             n = n or m + 2
             if n <= m:
                 raise ConfigError("n must exceed the measured width m")
-            params = PrfspdParams(lam, lam, m, n - m)
-            return PrfspdScheme(lam, ToyPrfspd(params))
+            return PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, m, n - m)))
         if name == "prfs":
             return PrfsScheme(lam, PhasePrfs(PrfsParams(lam, lam, n or 2)))
     except (SchemeError, sim.CapacityError) as exc:
@@ -94,8 +95,9 @@ def build_scheme(name, lam, n, m):
 def render(header: dict, columns, rows, fmt: str) -> str:
     lines = [f"# {key}={value}" for key, value in header.items()]
     if fmt == "csv":
-        lines.append(",".join(columns))
-        lines.extend(",".join(str(cell) for cell in row) for row in rows)
+        cells = io.StringIO()
+        csv.writer(cells, lineterminator="\n").writerows([columns, *rows])
+        lines.append(cells.getvalue().removesuffix("\n"))
     elif fmt == "text":
         for row in rows:
             lines.append(" ".join(f"{c}={v}" for c, v in zip(columns, row)))
@@ -117,17 +119,23 @@ def emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def report(args, header: dict, columns: dict, records) -> int:
+    """One row per record, of the fields `columns` names; exit 1 if any failed."""
+    rows = [[format(r.value, r.fmt) if field == "value" else getattr(r, field)
+             for field in columns.values()] for r in records]
+    emit(render(header, list(columns), rows, args.format), args.out)
+    return EXIT_CHECK_FAILED if any(r.failed for r in records) else EXIT_OK
+
+
 # --- correctness -----------------------------------------------------------
 
 
-def rate_check_failed(successes: int, trials: int, exact: float) -> bool:
-    """True when the exact rate lies outside the empirical rate's Wilson interval.
-
-    The interval is two-sided at z = RATE_Z and closed at 0 and 1 when the
-    empirical rate attains them, so a perfect rate matches an exact 1.0.
-    """
-    lo, hi = wilson_interval(successes, trials, RATE_Z)
-    return not lo <= exact <= hi
+def round_trip_check(scheme: str, successes: int, trials: int, exact: float) -> Check:
+    """The EMPIRICAL round-trip rate; it fails when `exact` lies outside its Wilson
+    interval at z = RATE_Z, closed at 0 and 1 when the rate attains them (so a
+    perfect rate matches an exact 1.0)."""
+    return Check("round-trip", scheme, successes / trials, f"trials={trials}", "EMPIRICAL",
+                 reference=exact, interval=wilson_interval(successes, trials, RATE_Z), fmt=".6f")
 
 
 def _owf_exhaustive(scheme, message_width, rng):
@@ -150,27 +158,25 @@ def _owf_exhaustive(scheme, message_width, rng):
 
 def cmd_correctness(args, rng):
     scheme = build_scheme(args.scheme, args.lam, args.n, args.m)
-    rows = []
-    failed = False
+    records = []
     if args.scheme == "owf" and args.lam <= 4:
         ok, total = _owf_exhaustive(scheme, 8, rng)
-        rate = ok / total
-        rows.append(["owf", "round-trip", f"{rate:.6f}", "EXACT", f"cases={total}"])
-        failed |= rate != 1.0
+        records.append(Check("round-trip", "owf", ok / total, f"cases={total}", reference=1.0,
+                             fmt=".6f"))
     else:
         # owf above the exhaustive size is perfectly correct
         exact = 1.0
         draw_message = lambda child: random_bits(8, child)
         if args.scheme == "prfs":
             exact_err = 2.0 ** -scheme.prfs.params.output_qubits
-            rows.append(["prfs", "m1-error", f"{exact_err:.6f}", "EXACT", "closed-form"])
+            records.append(Check("m1-error", "prfs", exact_err, "closed-form", fmt=".6f"))
             # one-bit messages, uniform: only message 1 can fail
             exact = 1.0 - exact_err / 2
             draw_message = lambda child: str(child.integers(2))
         elif args.scheme == "prfspd":
             exact = scheme.decrypt_success_exact()
-            tag_width = scheme.prfspd.params.tag_width
-            rows.append(["prfspd", "key-recovery", f"{exact:.6f}", "EXACT", f"t={tag_width}"])
+            records.append(Check("key-recovery", "prfspd", exact,
+                                 f"t={scheme.prfspd.params.tag_width}", fmt=".6f"))
         ok = 0
         for child in rng.spawn(args.trials):
             dk = scheme.gen(child)
@@ -178,50 +184,41 @@ def cmd_correctness(args, rng):
             qpk = scheme.qpk_gen(dk)
             _, ct = scheme.encrypt(qpk, message, child)
             ok += int(scheme.decrypt(dk, ct, child) == message)
-        rate = ok / args.trials
-        rows.append([args.scheme, "round-trip", f"{rate:.6f}", "EMPIRICAL", f"trials={args.trials}"])
-        failed |= rate_check_failed(ok, args.trials, exact)
+        records.append(round_trip_check(args.scheme, ok, args.trials, exact))
     header = {
         "command": "correctness", "scheme": args.scheme, "lambda": args.lam,
         "n": args.n or "", "m": args.m, "trials": args.trials, "seed": args.seed,
     }
-    emit(render(header, ["scheme", "check", "rate", "flag", "details"], rows, args.format),
-         args.out)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    columns = {"scheme": "case", "check": "check", "rate": "value", "flag": "flag",
+               "details": "details"}
+    return report(args, header, columns, records)
 
 
 # --- games -----------------------------------------------------------------
 
 
 def cmd_game(args, rng):
-    rows = []
     if args.game == "cloning":
         scheme = build_scheme("prfspd", args.lam, args.n, args.m)
         cloner_cls = CLONERS.get(args.adversary)
         if cloner_cls is None:
             raise ConfigError(f"unknown cloning adversary {args.adversary!r}")
-        params = scheme.prfspd.params
 
         def runner(child):
-            return run_prfspd_cloning(scheme.prfspd, cloner_cls(params), child)
+            return run_prfspd_cloning(scheme.prfspd, cloner_cls(scheme.prfspd.params), child)
     else:
         scheme = build_scheme(args.scheme, args.lam, args.n, args.m)
         adv_cls = adversary_class(args.scheme, args.adversary)
-        if args.game == "cpa":
-            def runner(child):
-                return run_ind_cpa(scheme, adv_cls(), child)
-        elif args.game in ("cpa-eo", "cpa-eo-multi"):
-            multi = args.game == "cpa-eo-multi"
 
-            def runner(child):
-                return run_ind_cpa_eo(scheme, adv_cls(), child, multi=multi)
-        else:
-            raise ConfigError(f"unknown game {args.game!r}")
+        def runner(child):
+            if args.game == "cpa":
+                return run_ind_cpa(scheme, adv_cls(), child)
+            return run_ind_cpa_eo(scheme, adv_cls(), child, multi=args.game == "cpa-eo-multi")
     est = estimate_advantage(runner, args.trials, rng)
-    rows.append([
+    rows = [[
         args.game, args.adversary, est.trials, est.wins,
         f"{est.estimate:.6f}", f"{est.interval[0]:.6f}", f"{est.interval[1]:.6f}",
-    ])
+    ]]
     header = {
         "command": "game", "scheme": scheme.name, "game": args.game,
         "adversary": args.adversary, "lambda": args.lam, "n": args.n or "",
@@ -235,53 +232,52 @@ def cmd_game(args, rng):
 # --- analysis --------------------------------------------------------------
 
 
+def check_punctured(args):
+    """The closed form against the explicit statevector, to 1e-9, where it fits."""
+    for lam in range(2, 7):
+        for p in range(1, 5):
+            closed, case = analysis.punctured_key_distance(lam, p), f"lam={lam},p={p}"
+            try:
+                explicit = analysis.punctured_key_distance_explicit(lam, p)
+            except sim.CapacityError:
+                yield Check("punctured", case, closed, "explicit=capacity-exceeded")
+            else:
+                gap = f"explicit_gap={abs(closed - explicit):.2e}"
+                yield Check("punctured", case, closed, gap, reference=explicit, tolerance=1e-9)
+
+
+def check_random_key(args):
+    # `all` clamps to lambda = 2 past the enumeration limit; an explicit
+    # size past it raises its CapacityError, a configuration error
+    lam = 2 if args.check == "all" and args.lam > 3 else args.lam
+    for queries in (0, 1, 3):
+        yield analysis.random_key_indistinguishability_check(lam, queries=queries)
+
+
+def check_helstrom(args):
+    # `all` clamps to lambda <= 3 so its report keeps its bytes; an
+    # explicit size past the Gram budget raises its CapacityError
+    lam = min(args.lam, 3) if args.check == "all" else args.lam
+    yield analysis.optimal_advantage("prfs", lam, 1, ("0", "1"), output_qubits=args.n or 2)
+
+
+# each `--check` choice, in the order `all` runs them
+ANALYZE_CHECKS = {
+    "punctured": check_punctured,
+    "commuting": lambda args: map(analysis.commuting_measurement_check, (1, 2, 3)),
+    "random-key": check_random_key,
+    "helstrom": check_helstrom,
+}
+
+
 def cmd_analyze(args, rng):
-    rows = []
-    failed = False
-    checks = [args.check] if args.check != "all" else ["punctured", "commuting", "random-key", "helstrom"]
-    for check in checks:
-        if check == "punctured":
-            for lam in range(2, 7):
-                for p in range(1, 5):
-                    closed = analysis.punctured_key_distance(lam, p)
-                    try:
-                        explicit = analysis.punctured_key_distance_explicit(lam, p)
-                        gap = abs(closed - explicit)
-                        detail = f"explicit_gap={gap:.2e}"
-                        failed |= gap > 1e-9
-                    except sim.CapacityError:
-                        detail = "explicit=capacity-exceeded"
-                    rows.append(["punctured", f"lam={lam},p={p}", f"{closed:.9f}", detail])
-        elif check == "commuting":
-            for lam in (1, 2, 3):
-                report = analysis.commuting_measurement_check(lam)
-                rows.append(["commuting", f"lam={lam}", f"{report.value:.3e}", report.pair])
-                failed |= report.value > 1e-12
-        elif check == "random-key":
-            # `all` clamps to lambda = 2 past the enumeration limit; an explicit
-            # size past it raises its CapacityError, a configuration error
-            lam = 2 if args.check == "all" and args.lam > 3 else args.lam
-            for queries in (0, 1, 3):
-                report = analysis.random_key_indistinguishability_check(lam, queries=queries)
-                rows.append(["random-key", f"lam={lam},queries={queries}", f"{report.value:.3e}",
-                             report.pair])
-                failed |= report.value > 1e-12
-        elif check == "helstrom":
-            # `all` clamps to lambda <= 3 so its report keeps its bytes; an
-            # explicit size past the Gram budget raises its CapacityError
-            lam = min(args.lam, 3) if args.check == "all" else args.lam
-            adv = analysis.optimal_advantage("prfs", lam, 1, ("0", "1"),
-                                             output_qubits=args.n or 2)
-            rows.append(["helstrom", f"lam={adv.security_param},p=1", f"{adv.value:.9f}",
-                         f"mode={adv.mode}"])
-        else:
-            raise ConfigError(f"unknown check {check!r}")
+    names = list(ANALYZE_CHECKS) if args.check == "all" else [args.check]
+    records = [record for name in names for record in ANALYZE_CHECKS[name](args)]
     header = {
         "command": "analyze", "check": args.check, "lambda": args.lam,
         "n": args.n or "", "seed": args.seed,
     }
-    emit(render(header, ["check", "case", "value", "details"], rows, args.format), args.out)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return report(args, header, {c: c for c in ("check", "case", "value", "details")}, records)
 
 
 # --- entry point -----------------------------------------------------------
@@ -316,26 +312,24 @@ def make_parser():
             p.add_argument("--adversary", default="random-guess",
                            help=f"one of {sorted(ADVERSARIES) + sorted(CLONERS)}")
         if name == "analyze":
-            p.add_argument("--check", choices=["punctured", "commuting", "random-key",
-                                               "helstrom", "all"], default="all")
+            p.add_argument("--check", choices=[*ANALYZE_CHECKS, "all"], default="all")
     return parser
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.lam < 1:
-        sys.stderr.write("error: lambda out of range\n")
-        return EXIT_CONFIG
-    if args.trials < 1:
-        sys.stderr.write("error: trials must be at least 1\n")
-        return EXIT_CONFIG
-    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        sys.stderr.write(f"error: directory of --out {args.out!r} does not exist\n")
-        return EXIT_CONFIG
-    rng = np.random.default_rng(args.seed)
     try:
-        return args.fn(args, rng)
+        if args.lam < 1:
+            raise ConfigError("lambda out of range")
+        if args.trials < 1:
+            raise ConfigError("trials must be at least 1")
+        if args.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+            raise ConfigError(f"--out {args.out!r} must name a file in an existing directory")
+        return args.fn(args, np.random.default_rng(args.seed))
     except (ConfigError, ValueError) as exc:  # a CapacityError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -401,8 +401,7 @@ def test_punctured_explicit_key_independent():
 @pytest.mark.parametrize("lam", [1, 2])
 def test_commuting_check_zero(lam):
     report = analysis.commuting_measurement_check(lam)
-    assert report.pair == "H0-H1"
-    assert report.metric == "total-variation"
+    assert report.details == "H0-H1"
     assert report.value < 1e-12
 
 
@@ -504,7 +503,7 @@ def test_commuting_capacity():
 @pytest.mark.parametrize("queries", [0, 1])
 def test_random_key_check_zero(queries):
     report = analysis.random_key_indistinguishability_check(2, queries=queries)
-    assert report.pair == "H3-H4"
+    assert report.details == "H3-H4"
     assert report.value < 1e-12
 
 
@@ -549,7 +548,7 @@ def test_advantage_symmetric_in_messages():
     a = analysis.optimal_advantage("prfs", 2, 1, ("0", "1"), output_qubits=2)
     b = analysis.optimal_advantage("prfs", 2, 1, ("1", "0"), output_qubits=2)
     assert abs(a.value - b.value) < 1e-12
-    assert a.exact and a.mode == "prf"
+    assert a.flag == "EXACT" and a.details == "mode=prf"
 
 
 @pytest.mark.parametrize(
@@ -635,7 +634,7 @@ def test_owf_keyed_numbers_bodies_wider_than_an_int64():
 def test_owf_prf_mode_bound_sane():
     adv = analysis.optimal_advantage("owf", 2, 1, ("00", "11"), output_qubits=2)
     assert 0.0 < adv.value <= 1.0
-    assert adv.exact
+    assert adv.flag == "EXACT"
 
 
 def test_advantage_errors():
@@ -902,4 +901,18 @@ def test_gram_budget_checked_before_any_key_is_built(monkeypatch):
 
 def test_hybrid_report_validation():
     with pytest.raises(AssertionError):
-        analysis.HybridReport("H0-H1", "total-variation", 1.5, {})
+        analysis.Check("commuting", "lam=1", 1.5, "H0-H1")
+
+
+def test_check_verdict():
+    exact = analysis.Check("punctured", "lam=2,p=1", 0.5, "", reference=0.5 + 2e-9, tolerance=1e-9)
+    assert exact.failed
+    assert not analysis.Check("punctured", "lam=2,p=1", 0.5, "", reference=0.5 + 5e-10,
+                              tolerance=1e-9).failed
+    assert not analysis.Check("helstrom", "lam=2,p=1", 0.5, "").failed
+    rate = analysis.Check("round-trip", "prfs", 0.9, "", "EMPIRICAL", reference=0.95,
+                          interval=(0.85, 0.94))
+    assert rate.failed
+    assert not analysis.Check("round-trip", "prfs", 0.9, "", "EMPIRICAL", reference=0.95,
+                              interval=(0.85, 0.95)).failed
+    assert analysis.commuting_measurement_check(2).failed is False

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import re
 import shlex
@@ -8,15 +10,15 @@ from pathlib import Path
 import pytest
 
 import qpklab
-from qpklab import cli, schemes
+from qpklab import analysis, cli, schemes
 from qpklab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
     build_scheme,
     main,
-    rate_check_failed,
     render,
+    round_trip_check,
 )
 from qpklab.schemes import OwfScheme, PrfsScheme, PrfspdScheme
 
@@ -120,6 +122,25 @@ def test_out_in_missing_directory_fails_before_work(capsys, tmp_path, monkeypatc
     assert out == "" and not target.parent.exists()
 
 
+def test_out_naming_a_directory_fails_before_work(capsys, tmp_path, monkeypatch):
+    def no_work(args, rng):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "cmd_analyze", no_work)
+    code, out, err = run_cli(capsys, "analyze", "--check", "commuting", "--seed", "1",
+                             "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_negative_seed_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--check", "commuting", "--seed", "-1")
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "seed" in err
+    assert out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(qpklab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -184,6 +205,11 @@ def test_correctness_prfspd_default_judged_against_exact(capsys):
 
 
 def test_rate_judge_against_wilson_interval():
+    def rate_check_failed(successes, trials, exact):
+        record = round_trip_check("prfspd", successes, trials, exact)
+        assert record.flag == "EMPIRICAL"
+        return record.failed
+
     assert not rate_check_failed(670, 1000, 0.669921875)
     assert rate_check_failed(900, 1000, 0.669921875)
     assert rate_check_failed(400, 1000, 0.669921875)
@@ -317,6 +343,55 @@ def test_analyze_all_names_the_lambda_each_row_ran_at(capsys):
     assert "lam=3,p=1" in out
 
 
+# each analyze check, the oracle its reference comes from, its tolerance and its row count
+ANALYZE_REFERENCES = {
+    "punctured": ("punctured_key_distance_explicit", 1e-9, 20),
+    "commuting": ("total_variation", 1e-12, 3),
+    "random-key": ("total_variation", 1e-12, 3),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ANALYZE_REFERENCES))
+@pytest.mark.parametrize("miss,expected", [(0.0, EXIT_OK), (0.5, EXIT_OK),
+                                           (2.0, EXIT_CHECK_FAILED)])
+def test_analyze_exits_1_when_a_value_misses_its_reference(capsys, monkeypatch, check, miss,
+                                                            expected):
+    # the patched oracle is off by `miss` times the check's tolerance
+    oracle, tolerance, rows = ANALYZE_REFERENCES[check]
+    honest = getattr(analysis, oracle)
+    monkeypatch.setattr(analysis, oracle, lambda *a, **k: honest(*a, **k) + miss * tolerance)
+    code, out, _err = run_cli(capsys, "analyze", "--check", check, "--lambda", "2", "--seed", "1")
+    assert code == expected
+    assert sum(line.startswith(check + " ") for line in out.splitlines()) == rows
+
+
+def test_every_analyze_record_carries_a_verdict(capsys):
+    args = cli.make_parser().parse_args("analyze --check all --lambda 2 --seed 1".split())
+    records = [record for check in cli.ANALYZE_CHECKS.values() for record in check(args)]
+    assert [r.failed for r in records] == [False] * 27
+    # the helstrom value has no reference yet; a punctured row has none only
+    # where its explicit statevector is past the qubit cap
+    unreferenced = [r for r in records if r.reference is None]
+    assert [r.check for r in unreferenced if r.check != "punctured"] == ["helstrom"]
+    assert all(r.details == "explicit=capacity-exceeded"
+               for r in unreferenced if r.check == "punctured")
+    code, out, _err = run_cli(capsys, "analyze", "--check", "all", "--lambda", "2", "--seed", "1")
+    assert code == EXIT_OK
+    assert [line.split()[:2] for line in out.splitlines()[6:]] == [[r.check, r.case]
+                                                                  for r in records]
+
+
+def test_analyze_csv_rows_have_the_header_width(capsys):
+    code, out, _err = run_cli(capsys, "analyze", "--check", "all", "--lambda", "2",
+                              "--seed", "1", "--format", "csv")
+    assert code == EXIT_OK
+    header, *rows = csv.reader(io.StringIO(
+        "".join(line for line in out.splitlines(keepends=True) if not line.startswith("#"))))
+    assert header == ["check", "case", "value", "details"]
+    assert len(rows) == 27 and all(len(row) == 4 for row in rows)
+    assert ["random-key", "lam=2,queries=0", "0.000e+00", "H3-H4"] in rows
+
+
 # --- rendering and determinism ----------------------------------------------
 
 
@@ -330,6 +405,7 @@ def test_render_formats():
     assert table.startswith("# a=1\n")
     assert "x=1 y=two" in text
     assert "x,y\n1,two" in csv
+    assert render({}, columns, [["a,b", 'say "hi"']], "csv") == 'x,y\n"a,b","say ""hi"""\n'
     with pytest.raises(Exception):
         render(header, columns, rows, "yaml")
 
