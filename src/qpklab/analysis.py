@@ -16,15 +16,17 @@ amplitude or rank:
   stays at the p(lam+n) qubits of the dense copies it stands for;
 - the commuting check tensors p+1 copies of the same 2^lam support
   amplitudes, (p+1)*lam qubits in place of (p+1)(lam+n), with the same
-  dense-qubit guard, and measures by sequential projections that keep only
-  the measured register's block, never a zero-padded full-size vector;
+  dense-qubit guard, and measures one register at a time over every branch
+  at once, by slicing that keeps only the measured register's blocks, never
+  a zero-padded full-size vector;
 - Helstrom values solve the schemes' `challenge_ensemble` from Gram
   matrices: p key copies are the power C^p of the key-state overlaps, one
   block per label (x* or (x*, r, body)), blocks of one size solved as one
   stack, each block's eigenvalues below 1e-12 times its largest dropped;
 - the `prfs` random-function Helstrom value uses rho1 = w*I and the spectrum
-  of rho0, whose x* blocks are permutations of one another: block 0 is
-  built and solved once.
+  of rho0, whose x* blocks are permutations of one another: of block 0,
+  only the 2^(2n) rows that differ from w*I are built and solved, so the
+  cost does not depend on lam.
 """
 
 from __future__ import annotations
@@ -140,11 +142,17 @@ def _joint_distribution(state: PureState, labelled_ranges):
 
     `labelled_ranges` is a sequence of (label, WireRange); the result maps
     label-sorted outcome tuples to probabilities so different measurement
-    orders are directly comparable. Each projection keeps only the block of
-    its outcome: the measured register's wires are dropped and the registers
-    above it move down by its width, so no branch builds a full-size vector.
-    The last register's blocks are never renormalized: their probabilities
-    go straight into the distribution.
+    orders are directly comparable. One register is measured at a time, over
+    every surviving branch at once: each branch's amplitudes are sliced into
+    the blocks of the register's values (the block `sim._register_block`
+    takes), the measured register's wires dropped and the registers above it
+    moved down by its width, so no branch builds a full-size vector. Each
+    block's probability is its own `np.vdot`, and a kept block is divided by
+    the square root of it as the branch of the next register; the last
+    register's blocks are never renormalized: their probabilities go
+    straight into the distribution. Branches stay in depth-first order, so
+    every value and every key's position are those of measuring one branch
+    at a time.
     """
     # where each register sits once the registers measured before it are dropped
     levels, rest = [], list(labelled_ranges)
@@ -155,26 +163,31 @@ def _joint_distribution(state: PureState, labelled_ranges):
                  if w.offset > wires.offset else w) for other, w in rest]
     if not levels:
         return {(): 1.0}
+    # one row per branch: its renormalized amplitudes, outcome so far and probability
+    branches, outcomes, probs = state.amplitudes[None], [()], np.ones(1)
+    for depth, (label, wires) in enumerate(levels):
+        size = 1 << wires.width
+        # (branch, above, value, below) -> one row per (branch, value), in that order
+        tiles = branches.reshape(len(branches), -1, size, 1 << wires.offset).transpose(0, 2, 1, 3)
+        blocks = tiles.reshape(len(branches) * size, -1)
+        # a register on the lowest wires leaves each block a strided view, as
+        # `sim._register_block` slices it, and BLAS sums a strided vector in
+        # another order than a contiguous one: each vdot reads the block as laid out there
+        laid_out = (row for tile in tiles[..., 0] for row in tile) if wires.offset == 0 else blocks
+        p = np.array([np.vdot(block, block).real for block in laid_out])
+        kept = np.flatnonzero(p > sim.ATOL_EXACT**2)
+        values = [int_to_bits(v, wires.width) for v in range(size)]
+        outcomes = [outcomes[i // size] + ((label, values[i % size]),) for i in kept.tolist()]
+        probs = probs[kept // size] * p[kept]
+        if depth + 1 < len(levels):
+            # numpy divides complex by real as a product with the
+            # reciprocal, so this real product keeps every bit of block / sqrt(p)
+            floats = blocks[kept].view(np.float64) * (1.0 / np.sqrt(p[kept]))[:, None]
+            branches = floats.view(np.complex128)
     dist: dict = {}
-
-    def recurse(amps, depth, acc, prob):
-        label, wires = levels[depth]
-        for v in range(1 << wires.width):
-            block = sim._register_block(amps, wires, v)
-            p = float(np.vdot(block, block).real)
-            if p <= sim.ATOL_EXACT**2:
-                continue
-            outcome = acc + [(label, int_to_bits(v, wires.width))]
-            if depth + 1 == len(levels):
-                key = tuple(sorted(outcome))
-                dist[key] = dist.get(key, 0.0) + prob * p
-            else:
-                # numpy divides complex by real as a product with the
-                # reciprocal, so this real product keeps every bit of block / sqrt(p)
-                floats = np.ascontiguousarray(block).view(np.float64) * (1.0 / np.sqrt(p))
-                recurse(floats.view(np.complex128), depth + 1, outcome, prob * p)
-
-    recurse(state.amplitudes, 0, [], 1.0)
+    for outcome, prob in zip(outcomes, probs.tolist()):
+        key = tuple(sorted(outcome))
+        dist[key] = dist.get(key, 0.0) + prob
     return dist
 
 
@@ -343,7 +356,9 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
     and only the spectrum of rho0 is needed. rho0 is block-diagonal in the
     classical x* register; each block is built from the three pairings of
     the four queried points (k=b, 3=4), (k=3, b=4), (k=4, b=3), and all
-    blocks share one spectrum, so only block 0 is built and solved.
+    blocks share one spectrum. Within block 0, only the 2^(2n) rows whose key
+    point has x = 0 differ from w*I, so only that sub-block is built and
+    solved: the value is 2^-(d+2n+1) times a sum that depends on n alone.
     """
     d, n = lam, output_qubits
     if copies not in (0, 1):
@@ -351,7 +366,7 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
     if copies == 0:
         # no copy: the mixed payload and the averaged pure payload coincide
         return 0.0
-    rows = 1 << (d + 2 * n)
+    rows = 1 << (2 * n)
     sim.check_entries(rows * rows)
     w = 2.0 ** -(2 * (d + n))
     # An x* block has rows (k, y3) and columns (b, y4): k and b are the key
@@ -360,7 +375,9 @@ def _prfs_random_distance(lam, output_qubits, copies) -> float:
     # `crossed` is k=4 with b=3. Relabelling x -> x xor x* in all four points
     # keeps which of them coincide, and it maps block x* onto block 0 by one
     # permutation of rows and columns; so the 2^d blocks have the spectrum
-    # of block 0, whose payload points are (0, y3) and (0, y4).
+    # of block 0, whose payload points are (0, y3) and (0, y4). `own` and
+    # `crossed` need a key point with x = 0, so every other row of block 0
+    # is a row of w*I: its eigenvalue w adds |w - w| = 0, and it is left out.
     idx = np.arange(rows)
     point, y = idx >> n, idx & ((1 << n) - 1)
     own = point == y
@@ -377,9 +394,9 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
     at most (1 + value) / 2) for an adversary holding `copies` public-key
     copies plus the challenge ciphertext. The scheme enumerates both
     ensembles (`owf` random mode: the keyless `random_function_ensemble`) and
-    `_gram_distance` solves them; the `prfs` random mode solves one x* block
-    of rho0 against rho1 = w*I, the others being permutations of it. The
-    record has no reference yet.
+    `_gram_distance` solves them; the `prfs` random mode solves the 2^(2n)-row
+    nontrivial sub-block of one x* block of rho0 against rho1 = w*I, the
+    other blocks being permutations of it. The record has no reference yet.
     """
     kind = {"prfs": PrfsScheme, "owf": OwfScheme}.get(scheme)
     if kind is None or mode not in ("prf", "random"):

@@ -12,8 +12,10 @@ values for a whole integer array of inputs at once, with the key checked and
 its hash prefix computed once. The graph-state keys (the OWF key and the
 PRFSPD slot state) take their cells from such tables: the OWF key one table
 per key, the PRFSPD slot state one 2^m-point table per block it builds
-(`ToyPrfspd.graph`). An injected PRF callable is still called once per point
-and its outputs checked.
+(`ToyPrfspd.graph`). The `prfs` challenge ensemble takes its key states from
+one table per key as well (`PhasePrfs.uniform_isometry`), while `gen` still
+calls the PRF once per phase bit. An injected PRF callable is still called
+once per point and its outputs checked.
 
 Both state families take their PRF as `prf=` (default `prf_eval`), as
 `schemes.OwfScheme` does: the random-function hybrid passes a
@@ -221,9 +223,10 @@ class _StateFamily:
 class PhasePrfs(_StateFamily):
     """Binary phase-state family: |psi_{k,x}> = 2^{-n/2} sum_y (-1)^{f_k(x||y)} |y>.
 
-    Each phase bit is one call of the family's PRF. The tester is the exact
-    projective measurement onto the generated state, possible because the
-    simulator holds full statevectors, so its one-sided error is zero here.
+    Each phase bit of a `gen` state is one call of the family's PRF. The
+    tester is the exact projective measurement onto the generated state,
+    possible because the simulator holds full statevectors, so its one-sided
+    error is zero here.
     """
 
     def _amplitudes(self, key, x):
@@ -235,6 +238,21 @@ class PhasePrfs(_StateFamily):
             sign = -1.0 if int(self._prf(key, x + int_to_bits(v, n), 1)) else 1.0
             amps[v] = sign * scale
         return amps
+
+    def uniform_isometry(self, key: str) -> np.ndarray:
+        """The amplitudes of `oracle_isometry(key, uniform_superposition(d))`, from one
+        PRF table over the 2^(d+n) points x||y, in ascending order as `gen` queries them.
+
+        Each amplitude is the product (2^d)^(-1/2) * (+-(2^n)^(-1/2)) that the
+        isometry forms from `_amplitudes`, with the same sign rule, so the two
+        builders agree bit for bit; neither `gen` nor its cache is used.
+        """
+        check_bits(key, self.params.key_width)
+        d, n = self.params.input_width, self.params.output_qubits
+        phases = prf_table(key, np.arange(1 << (d + n)), d + n, 1, self._prf)
+        scale = (1 << n) ** -0.5
+        blocks = np.where(phases == 1, -scale, scale).astype(np.complex128)
+        return (1 << d) ** -0.5 * blocks
 
     def test_exact(self, key: str, x: str, candidate) -> float:
         """Acceptance probability of the tester: fidelity with the generated state."""

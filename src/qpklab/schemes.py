@@ -15,7 +15,9 @@ points each. The PRFS key is assembled from `PhasePrfs.gen` states by
 `sim.controlled_state`. Every quantum object is pure; a
 mixed state is an ensemble that is sampled, and the IND-CPA challenges of
 `owf` and `prfs` are enumerated next to `encrypt` by `challenge_ensemble`,
-arrays built from `qpk_gen` and the cipher for `analysis` to solve. Each
+arrays built from the key states and the cipher for `analysis` to solve: the
+`owf` key states from `qpk_gen`, the `prfs` ones from one PRF table per key
+(`PhasePrfs.uniform_isometry`), bit for bit the states `qpk_gen` builds. Each
 scheme's keyed primitive is swapped with `prf=`: on `OwfScheme` itself, and
 on the `PhasePrfs` or `ToyPrfspd` family a scheme is built from.
 
@@ -374,9 +376,18 @@ class PrfsScheme(QpkeScheme):
         qpk.residue = x
         return qpk, Scheme3Ciphertext(x, payload)
 
+    def _key_states(self) -> np.ndarray:
+        """The public-key state of every decryption key, one row each, in key order: the
+        states `qpk_gen` builds, bit for bit, each from one PRF table
+        (`PhasePrfs.uniform_isometry`) in place of a `gen` call per input."""
+        lam = self.security_param
+        return np.array([self.prfs.uniform_isometry(int_to_bits(v, lam))
+                         for v in range(1 << lam)])
+
     def challenge_ensemble(self, m0: str, m1: str) -> ChallengeEnsemble:
         """Every (key k, x*), labelled x*: message 0 sends block x* of the key state,
-        renormalized, and the mixed payload of message 1 is 2^n basis states."""
+        renormalized, and the mixed payload of message 1 is 2^n basis states. The
+        2^lambda key states come from one PRF table per key (`_key_states`)."""
         self.check_messages(m0, m1)
         d, n = self.prfs.params.input_width, self.prfs.params.output_qubits
         keys, inputs, outputs = 1 << self.security_param, 1 << d, 1 << n

@@ -587,15 +587,23 @@ def test_random_mode_one_block_matches_every_block(d, n):
 
 
 def test_random_mode_budget_checked_before_the_block_is_built():
-    # the (d, n) = (4, 4) block is 4096 x 4096: 16 MB as booleans, 128 MB as floats
+    # the n = 6 sub-block is 4096 x 4096: 16 MB as booleans, 128 MB as floats
     tracemalloc.start()
     try:
         with pytest.raises(sim.CapacityError):
-            analysis.optimal_advantage("prfs", 4, 1, ("0", "1"), output_qubits=4, mode="random")
+            analysis.optimal_advantage("prfs", 4, 1, ("0", "1"), output_qubits=6, mode="random")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_random_mode_halves_with_each_input_bit():
+    # the value is 2^-(d+2n+1) times a sum over the d-free sub-block, so an
+    # input width past the dense budget costs no more than d = 1
+    values = [analysis.optimal_advantage("prfs", d, 1, ("0", "1"), output_qubits=2,
+                                         mode="random").value for d in range(1, 14)]
+    assert all(wider == value / 2 for value, wider in zip(values, values[1:]))
 
 
 def test_random_mode_no_copies():
@@ -663,6 +671,7 @@ def test_advantage_rejects_messages_the_scheme_does_not_encrypt(monkeypatch, sch
         raise AssertionError("key state built before the messages were checked")
 
     monkeypatch.setattr(PhasePrfs, "oracle_isometry", fail)
+    monkeypatch.setattr(PhasePrfs, "uniform_isometry", fail)
     monkeypatch.setattr(OwfScheme, "qpk_gen", fail)
     with pytest.raises(ValueError):
         analysis.optimal_advantage(scheme, 2, 1, messages, mode=mode)
@@ -804,12 +813,18 @@ def test_owf_keyed_solves_each_block_size_once_and_calls_no_prf_eval(monkeypatch
 
 
 def test_prfs_keyed_takes_the_payloads_from_the_key_states(monkeypatch):
-    calls = []
-    gen = PhasePrfs.gen
-    monkeypatch.setattr(PhasePrfs, "gen", lambda self, *args: calls.append(args) or gen(self, *args))
-    analysis.optimal_advantage("prfs", 3, 1, ("0", "1"), output_qubits=2)
-    # one call per (key, x) while the 8 key states are built, none afterwards
-    assert len(calls) == 64 == len(set(calls))
+    lam = 3
+    prf_calls = _count_prf_eval_calls(monkeypatch)
+    gen_calls, tables = [], []
+    gen, table = PhasePrfs.gen, primitives.prf_table
+    monkeypatch.setattr(PhasePrfs, "gen",
+                        lambda self, *args: gen_calls.append(args) or gen(self, *args))
+    monkeypatch.setattr(primitives, "prf_table",
+                        lambda *args, **kw: tables.append(args) or table(*args, **kw))
+    analysis.optimal_advantage("prfs", lam, 1, ("0", "1"), output_qubits=2)
+    # the 8 key states come from one PRF table each, and the payloads from them
+    assert gen_calls == [] and prf_calls == []
+    assert len(tables) == 1 << lam
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from qpklab.primitives import (
     PhasePrfs,
     PrfsParams,
     PrfspdParams,
+    RandomFunctionTable,
     SkeCiphertext,
     StreamSke,
     ToyPrfspd,
@@ -629,6 +630,23 @@ def test_owf_ensemble_reads_the_prf_off_the_key_states(monkeypatch):
     assert len(calls) == 8  # one table per key state, none more
 
 
+@pytest.mark.parametrize("prf", ["prf_eval", "constant", "random-function"])
+@pytest.mark.parametrize("lam,n", [(lam, n) for lam in (1, 2, 3, 4) for n in (1, 2, 3)])
+def test_prfs_key_rows_from_tables_equal_the_qpk_gen_states_bitwise(lam, n, prf):
+    def scheme():
+        # a fresh random function per builder: both must query x||y in ascending order
+        f = {"prf_eval": prf_eval, "constant": lambda key, x, w: "0" * w,
+             "random-function": RandomFunctionTable(1, np.random.default_rng(lam * 4 + n))}[prf]
+        return PrfsScheme(lam, PhasePrfs(PrfsParams(lam, lam, n), prf=f))
+
+    built = scheme()
+    states = np.array([built.qpk_gen(DecryptionKey(int_to_bits(v, lam))).state.amplitudes
+                       for v in range(1 << lam)])
+    rows = scheme()._key_states()
+    assert rows.dtype == states.dtype and rows.shape == states.shape
+    assert rows.tobytes() == states.tobytes()
+
+
 def test_owf_ensemble_needs_a_plain_stream_cipher():
     with pytest.raises(CapabilityError):
         OwfScheme(2, 2, ske=FixedNonceSke()).challenge_ensemble("00", "11")
@@ -644,5 +662,6 @@ def test_challenge_ensemble_rejects_messages_before_building_a_key(monkeypatch, 
         raise AssertionError("key state built before the messages were checked")
 
     monkeypatch.setattr(type(scheme), "qpk_gen", fail)
+    monkeypatch.setattr(PhasePrfs, "uniform_isometry", fail)
     with pytest.raises(ValueError):
         scheme.challenge_ensemble(*messages)
