@@ -64,16 +64,16 @@ class AdversaryStrategy:
 
 
 class RandomGuessAdversary(AdversaryStrategy):
-    """Ignores everything and flips a coin."""
+    """Ignores everything and flips a coin, after one all-zero encryption query
+    where the game has an encryption oracle."""
 
-    def __init__(self, queries: int = 1):
-        self.queries = queries
+    queried = False
 
     def encryption_query(self):
-        if self.queries > 0 and self.scheme.supports_encryption_oracle:
-            self.queries -= 1
-            return "0" * 8
-        return None
+        if self.queried or not self.scheme.supports_encryption_oracle:
+            return None
+        self.queried = True
+        return "0" * 8
 
     def guess(self):
         return int(self.rng.integers(2))
@@ -153,11 +153,9 @@ class PadReuseAdversary(AdversaryStrategy):
     challenge share the pad, so XOR of the bodies reveals the plaintext."""
 
     supported_schemes = ("owf", "prfspd")
-
-    def __init__(self, width: int = 8):
-        self.pair = ("0" * width, "1" * width)
-        self.query_body = None
-        self.queried = False
+    pair = ("0" * 8, "1" * 8)
+    query_body = None
+    queried = False
 
     def encryption_query(self):
         if self.queried:

@@ -3,10 +3,11 @@
 Each function turns one step of the hybrid argument into a checkable number:
 the commuting-measurement equality, the punctured-key trace distance, the
 real-vs-fresh-key distribution identity, and the Helstrom bound on any
-adversary's distinguishing advantage. Random-function modes replace the keyed
-function with a truly random one so the results reflect information-theoretic
-structure only. The commuting, random-key and Helstrom oracles return a
-`Check` record: the value, its reference if any, and the verdict.
+adversary's distinguishing advantage. The `prfs` random-function mode replaces
+the keyed function with a truly random one so its value reflects
+information-theoretic structure only. The commuting, random-key and Helstrom
+oracles return a `Check` record: the value, its reference if any, and the
+verdict.
 
 Every value is exact; each oracle works only on the support that carries
 amplitude or rank:
@@ -258,20 +259,24 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> Check:
     The function is a uniformly random one-bit table. The adversary sees the
     punctured key (determined by the table off x*), x*, and the bodies of the
     oracle answers to the message "10". Enumerates every table, key value, and
-    nonce draw; the record holds the total-variation distance between the two
+    nonce draw (the cipher's `nonce_space`), once their count fits the entry
+    budget; the record holds the total-variation distance between the two
     visible-data distributions, judged against 0 to 1e-12.
     """
     _check_sizes(lam, queries=queries)
-    if lam > 3:
-        raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
+    # x*, the table off x*, h*, z and q nonces: 2^(lam + 2^lam + 1 + q) tuples, counted
+    # up to twice the budget (2^lam up to 2^6), so no size makes a big integer
+    tuples_log2 = lam + (1 << min(lam, 6)) + 1 + queries
+    sim.check_entries(1 << min(tuples_log2, sim.q_max() + 1))
     message = "10"
     xs_all = [int_to_bits(v, lam) for v in range(1 << lam)]
     vals = ["0", "1"]
+    nonces = StreamSke().nonce_space(1)
 
     # the answers depend only on the key and the nonces: tabulate them once
-    bodies_of = {(key, r): StreamSke().seal(key, r, message).body for key in vals for r in vals}
-    answers_of = {key: [tuple((r, bodies_of[key, r]) for r in nonces)
-                        for nonces in itertools.product(vals, repeat=queries)]
+    bodies_of = {(key, r): StreamSke().seal(key, r, message).body for key in vals for r in nonces}
+    answers_of = {key: [tuple((r, bodies_of[key, r]) for r in drawn)
+                        for drawn in itertools.product(nonces, repeat=queries)]
                   for key in vals}
 
     def visible(key_from_table: bool):
@@ -393,28 +398,27 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
     The value upper-bounds any adversary's game advantage (win probability
     at most (1 + value) / 2) for an adversary holding `copies` public-key
     copies plus the challenge ciphertext. The scheme enumerates both
-    ensembles (`owf` random mode: the keyless `random_function_ensemble`) and
+    ensembles (the `owf` nonces are its cipher's `nonce_space`) and
     `_gram_distance` solves them; the `prfs` random mode solves the 2^(2n)-row
     nontrivial sub-block of one x* block of rho0 against rho1 = w*I, the
-    other blocks being permutations of it. The record has no reference yet.
+    other blocks being permutations of it. Modes are "prf" for both schemes
+    and "random" for `prfs`; any other pair raises ValueError before anything
+    is built. The record has no reference yet.
     """
-    kind = {"prfs": PrfsScheme, "owf": OwfScheme}.get(scheme)
-    if kind is None or mode not in ("prf", "random"):
+    kind = {("prfs", "prf"): PrfsScheme, ("prfs", "random"): PrfsScheme,
+            ("owf", "prf"): OwfScheme}.get((scheme, mode))
+    if kind is None:
         raise ValueError(f"no exact-advantage oracle for scheme {scheme!r} in mode {mode!r}")
     _check_sizes(lam, copies, output_width=output_qubits)
     m0, m1 = messages
     kind.check_messages(m0, m1)
     if m0 == m1:
         value = 0.0
-    elif (scheme, mode) == ("prfs", "random"):
+    elif mode == "random":
         value = _prfs_random_distance(lam, output_qubits, copies)
     elif scheme == "prfs":
         prfs = PrfsScheme(lam, PhasePrfs(PrfsParams(lam, lam, output_qubits)))
         value = _gram_distance(prfs.challenge_ensemble(m0, m1), copies)
-    elif mode == "prf":
-        value = _gram_distance(OwfScheme(lam, output_qubits).challenge_ensemble(m0, m1), copies)
-    elif copies != 0:
-        raise ValueError("random-function mode for this scheme supports 0 copies")
     else:
-        value = _gram_distance(OwfScheme.random_function_ensemble(lam, m0, m1), copies)
+        value = _gram_distance(OwfScheme(lam, output_qubits).challenge_ensemble(m0, m1), copies)
     return Check("helstrom", f"lam={lam},p={copies}", value, f"mode={mode}")

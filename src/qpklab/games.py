@@ -12,6 +12,7 @@ adversary, and propagates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +119,7 @@ def _run_challenger(scheme, adversary, rng, game, chains, challenges, queries):
     try:
         _adversary(adversary.begin, scheme, rng)
         b = transcript.challenge_bit = int(rng.integers(2))
-        copies = _adversary(lambda: int(adversary.num_key_copies()))
+        copies = _adversary(lambda: operator.index(adversary.num_key_copies()))
         for _ in range(_check_count(copies, adversary.key_copy_budget, "key-copy")):
             _adversary(adversary.receive_public_key_copy, scheme.qpk_gen(dk))
             transcript.add_event("setup", "challenger", "qpk-copy")
@@ -136,7 +137,7 @@ def _run_challenger(scheme, adversary, rng, game, chains, challenges, queries):
                 transcript.add_event("challenge", "challenger", "ct*")
                 if queries:
                     qpk = _query_phase(scheme, adversary, qpk, rng, transcript)
-        guess = _adversary(lambda: int(adversary.guess()))
+        guess = _adversary(lambda: operator.index(adversary.guess()))
         if guess not in (0, 1):
             raise ProtocolViolation(f"guess {guess} is not a bit")
     except (ProtocolViolation, SchemeError):

@@ -140,6 +140,10 @@ class StreamSke:
     def _nonce(self, key: str, rng: np.random.Generator) -> str:
         return random_bits(len(key), rng)
 
+    def nonce_space(self, width: int) -> list[str]:
+        """The nonces `_nonce` draws, each equally likely, for a `width`-bit key: all, ascending."""
+        return [int_to_bits(v, width) for v in range(1 << width)]
+
     def encrypt(self, key: str, message: str, rng: np.random.Generator) -> SkeCiphertext:
         check_bits(key)
         check_bits(message)
@@ -162,6 +166,9 @@ class FixedNonceSke(StreamSke):
 
     def _nonce(self, key, rng):
         return "0" * len(key)
+
+    def nonce_space(self, width):
+        return ["0" * width]
 
 
 @dataclass(frozen=True)

@@ -235,33 +235,22 @@ class OwfScheme(QpkeScheme):
 
     def challenge_ensemble(self, m0: str, m1: str) -> ChallengeEnsemble:
         """Every (key k, x*, nonce r) as the label (x*, r, body) that `encrypt` sends, payload
-        1; f_k(x*) is read off the key's support. Only a plain `StreamSke` is enumerated."""
+        1; f_k(x*) is read off the key's support, and the nonces are the cipher's own
+        `nonce_space`, each equally likely."""
         self.check_messages(m0, m1)
-        if type(self.ske) is not StreamSke:
-            raise CapabilityError("challenge ensembles enumerate a plain StreamSke's nonces only")
         lam, n = self.security_param, self.prf_output_width
+        nonces = self.ske.nonce_space(n)
         # each (x*, r) splits its 2 * 2^lam rows among its bodies' blocks
-        sim.check_entries((1 << (lam + n)) * (2 << lam) ** 2 + (1 << (2 * lam + n)))
+        sim.check_entries((len(nonces) << lam) * (2 << lam) ** 2 + (1 << (2 * lam + n)))
         key_states = self._key_states()
-        i, k, x, r = np.indices((2, 1 << lam, 1 << lam, 1 << n)).reshape(4, -1)  # i: message
+        i, k, x, r = np.indices((2, 1 << lam, 1 << lam, len(nonces))).reshape(4, -1)  # i: message
         y = key_states.reshape(1 << lam, 1 << lam, 1 << n).nonzero()[2].reshape(1 << lam, -1)[k, x]
-        sealed = [self.ske.seal(int_to_bits(yv, n), int_to_bits(rv, n), (m0, m1)[iv]).body
+        sealed = [self.ske.seal(int_to_bits(yv, n), nonces[rv], (m0, m1)[iv]).body
                   for iv, yv, rv in zip(i.tolist(), y.tolist(), r.tolist())]
         bodies, numbers = np.unique(sealed, return_inverse=True)
-        return ChallengeEnsemble(key_states, np.stack([x, r, numbers], axis=1),
+        r_values = np.array([bits_to_int(nonce) for nonce in nonces])[r]
+        return ChallengeEnsemble(key_states, np.stack([x, r_values, numbers], axis=1),
                                  (1 - 2 * i) / (i.size // 2), k, np.ones((i.size, 1)), bodies)
-
-    @classmethod
-    def random_function_ensemble(cls, lam: int, m0: str, m1: str) -> ChallengeEnsemble:
-        """The ensembles for a truly random f_k and no key copy: no key state, and the
-        body a one-time pad z xor m under uniform z, labelled (x*, body value)."""
-        width = cls.check_messages(m0, m1)
-        sim.check_entries(4 << (lam + width))  # one term per message in each label
-        i, x, z = np.indices((2, 1 << lam, 1 << width)).reshape(3, -1)
-        bodies = z ^ np.array([bits_to_int(m0), bits_to_int(m1)])[i]
-        return ChallengeEnsemble(np.ones((1, 1)), np.stack([x, bodies], axis=1),
-                                 (1 - 2 * i) / (i.size // 2), np.zeros_like(i),
-                                 np.ones((i.size, 1)))
 
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme1Ciphertext)

@@ -67,9 +67,9 @@ def check_capacity(qubit_count: int, what: str) -> None:
 
 
 def check_entries(entries: int) -> None:
-    """Key states and Gram blocks may hold no more entries than a q_max-qubit state."""
+    """Key states, Gram blocks and enumerations hold no more entries than a q_max-qubit state."""
     if entries > 1 << q_max():
-        raise CapacityError(f"Gram path needs {entries} entries, more than 2^{q_max()}")
+        raise CapacityError(f"exact oracle needs at least {entries} entries, more than 2^{q_max()}")
 
 
 class DimensionMismatchError(ValueError):

@@ -529,6 +529,18 @@ def test_random_key_capacity():
         analysis.random_key_indistinguishability_check(4)
 
 
+def test_random_key_check_counts_its_tuples_before_enumerating():
+    # 2^(2 + 4 + 1 + 40) tuples: the guard runs before the 2^40 answer tuples are tabulated
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.CapacityError):
+            analysis.random_key_indistinguishability_check(2, queries=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_total_variation():
     a = {"x": 0.5, "y": 0.5}
     b = {"x": 1.0}
@@ -613,27 +625,6 @@ def test_random_mode_no_copies():
         analysis.optimal_advantage("prfs", 2, 2, ("0", "1"), mode="random")
 
 
-def test_owf_random_mode_no_copies_zero():
-    adv = analysis.optimal_advantage("owf", 2, 0, ("00", "11"), mode="random")
-    assert adv.value < 1e-12
-    with pytest.raises(ValueError):
-        analysis.optimal_advantage("owf", 2, 1, ("00", "11"), mode="random")
-
-
-def test_owf_random_mode_checks_its_budget_before_enumerating():
-    tracemalloc.start()
-    try:
-        with pytest.raises(sim.CapacityError):
-            analysis.optimal_advantage("owf", 2, 0, ("0" * 70, "1" * 70), mode="random")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    # 2^18 labels of two rows each: 2^20 entries, the default budget exactly
-    adv = analysis.optimal_advantage("owf", 2, 0, ("0" * 16, "1" * 16), mode="random")
-    assert adv.value <= 1e-12
-
-
 def test_owf_keyed_numbers_bodies_wider_than_an_int64():
     adv = analysis.optimal_advantage("owf", 2, 1, ("0" * 70, "1" * 70), output_qubits=2)
     assert adv.value == 0.9999999999999998
@@ -700,10 +691,12 @@ def test_advantage_rejects_messages_the_scheme_does_not_encrypt(monkeypatch, sch
     (lambda: analysis.optimal_advantage("bogus", 2, 1, ("0", "0")), "no exact-advantage oracle"),
     (lambda: analysis.optimal_advantage("prfs", 2, 1, ("0", "0"), mode="bogus"),
      "no exact-advantage oracle"),
+    (lambda: analysis.optimal_advantage("owf", 2, 0, ("00", "11"), mode="random"),
+     "no exact-advantage oracle"),
 ], ids=["punctured-lam-1", "punctured-lam0", "explicit-n0", "commuting-lam0", "random-key-lam0",
         "random-key-queries-1", "prfs-random-n0", "prfs-random-lam0", "prfs-random-lam-1",
         "owf-n0", "equal-messages-lam0", "equal-messages-bogus-scheme",
-        "equal-messages-bogus-mode"])
+        "equal-messages-bogus-mode", "owf-random"])
 def test_oracles_reject_sizes_without_meaning_before_building(monkeypatch, call, reason):
     def fail(*args, **kwargs):
         raise AssertionError("state built before the sizes were checked")

@@ -91,7 +91,7 @@ def test_random_key_past_the_enumeration_limit_is_config_error(capsys):
     code, out, err = run_cli(capsys, "analyze", "--check", "random-key",
                              "--lambda", "5", "--seed", "1")
     assert code == EXIT_CONFIG
-    assert "exhaustive enumeration is limited to lam <= 3" in err
+    assert "more than 2^20" in err
     assert out == ""
 
 

@@ -224,7 +224,7 @@ def test_an_adversary_that_raises_loses_an_invalid_game(rng, game, callback):
     assert est.wins == 0
 
 
-@pytest.mark.parametrize("copies", ["many", -5, 17, 1000])
+@pytest.mark.parametrize("copies", ["many", -5, 17, 1000, 2.7])
 def test_a_key_copy_count_outside_the_budget_is_a_violation(rng, copies):
     class Asks(AlwaysZeroAdversary):
         def num_key_copies(self):
@@ -233,6 +233,26 @@ def test_a_key_copy_count_outside_the_budget_is_a_violation(rng, copies):
     t = run_ind_cpa(OwfScheme(3), Asks(), rng)
     assert t.valid is False and t.win is False
     assert "qpk-copy" not in t.to_lines()
+
+
+@pytest.mark.parametrize("guess", [0.9, "1"])
+def test_a_guess_that_is_not_an_integer_is_a_violation(rng, guess):
+    class Guesses(AlwaysZeroAdversary):
+        def guess(self):
+            return guess
+
+    t = run_ind_cpa(OwfScheme(3), Guesses(), rng)
+    assert t.valid is False and t.win is False
+
+
+def test_a_numpy_integer_key_copy_count_is_accepted(rng):
+    class Asks(AlwaysZeroAdversary):
+        def num_key_copies(self):
+            return np.int64(2)
+
+    t = run_ind_cpa(OwfScheme(3), Asks(), rng)
+    assert t.valid
+    assert [e for e in t.events if e[0] == "setup"] == [("setup", "challenger", "qpk-copy")] * 2
 
 
 def test_key_copies_up_to_the_budget_are_given(rng):

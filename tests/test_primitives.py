@@ -204,6 +204,15 @@ def test_fixed_nonce_mutation(rng):
     assert ske.decrypt("1010", c1) == "1111"
 
 
+@pytest.mark.parametrize("ske,space", [
+    (StreamSke(), ["000", "001", "010", "011", "100", "101", "110", "111"]),
+    (FixedNonceSke(), ["000"]),
+], ids=["stream", "fixed"])
+def test_sampled_nonces_lie_in_the_nonce_space(rng, ske, space):
+    assert ske.nonce_space(3) == space
+    assert {ske._nonce("101", rng) for _ in range(200)} == set(space)
+
+
 @given(key=bitstrings, message=bitstrings)
 @settings(max_examples=60, deadline=None)
 def test_ske_round_trip_property(key, message):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpklab import schemes, sim
+from qpklab import analysis, schemes, sim
 from qpklab.bits import int_to_bits, random_bits
 from qpklab.games import wilson_interval
 from qpklab.primitives import (
@@ -22,7 +22,6 @@ from qpklab.primitives import (
     prf_eval,
 )
 from qpklab.schemes import (
-    CapabilityError,
     DecryptionKey,
     KeyConsumedError,
     OwfScheme,
@@ -587,8 +586,9 @@ def _check_ensemble_against_encrypt(scheme, messages, label_of, draws=2000, seed
 
 @pytest.mark.parametrize("scheme,messages,label_of", [
     (OwfScheme(2, prf_output_width=2), ("00", "11"), _owf_label),
+    (OwfScheme(2, prf_output_width=2, ske=FixedNonceSke()), ("00", "11"), _owf_label),
     (make_prfs_scheme(2, 2), ("0", "1"), _prfs_label),
-], ids=["owf", "prfs"])
+], ids=["owf", "owf-fixed-nonce", "prfs"])
 def test_challenge_ensemble_matches_sampled_encryptions(scheme, messages, label_of):
     _check_ensemble_against_encrypt(scheme, messages, label_of)
 
@@ -612,13 +612,6 @@ def test_challenge_ensemble_weights_of_each_message_sum_to_one(scheme, messages)
     assert weights[weights > 0].sum() == 1.0
     assert weights[weights < 0].sum() == -1.0
     assert len(ensemble.labels) == len(weights) == len(ensemble.keys) == len(ensemble.payloads)
-
-
-def test_owf_random_function_ensemble_weights_sum_to_one():
-    ensemble = OwfScheme.random_function_ensemble(2, "010", "111")
-    assert ensemble.weights[ensemble.weights > 0].sum() == 1.0
-    assert ensemble.weights[ensemble.weights < 0].sum() == -1.0
-    assert ensemble.key_states.shape == (1, 1)
 
 
 def test_owf_ensemble_reads_the_prf_off_the_key_states(monkeypatch):
@@ -647,9 +640,12 @@ def test_prfs_key_rows_from_tables_equal_the_qpk_gen_states_bitwise(lam, n, prf)
     assert rows.tobytes() == states.tobytes()
 
 
-def test_owf_ensemble_needs_a_plain_stream_cipher():
-    with pytest.raises(CapabilityError):
-        OwfScheme(2, 2, ske=FixedNonceSke()).challenge_ensemble("00", "11")
+def test_owf_ensemble_of_a_fixed_nonce_cipher_is_solved():
+    # one term per (message, k, x*), every one under the all-zero nonce; at p = 0 the
+    # value is that of the nonce-0 block of the plain cipher's ensemble
+    ensemble = OwfScheme(2, 2, ske=FixedNonceSke()).challenge_ensemble("00", "11")
+    assert len(ensemble.weights) == 32 and set(ensemble.labels[:, 1].tolist()) == {0}
+    assert abs(analysis._gram_distance(ensemble, 0) - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme,messages", [
