@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_BIT_CHARS = frozenset("01")
-
 
 def check_bits(s: str, width: int | None = None) -> str:
-    if not isinstance(s, str) or not set(s) <= _BIT_CHARS:
+    if not isinstance(s, str) or s.count("0") + s.count("1") != len(s):
         raise ValueError(f"not a bitstring: {s!r}")
     if width is not None and len(s) != width:
         raise ValueError(f"bitstring {s!r} has length {len(s)}, expected {width}")
@@ -39,9 +37,12 @@ def xor_bits(a: str, b: str) -> str:
     return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b") if a else ""
 
 
+_BIT_CHAR_OF = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def random_bits(width: int, rng: np.random.Generator) -> str:
     draw = rng.integers(0, 2, size=width)
-    return (draw + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return draw.astype(np.uint8).tobytes().translate(_BIT_CHAR_OF).decode("ascii")
 
 
 def pack_bits(s: str) -> bytes:
@@ -51,6 +52,8 @@ def pack_bits(s: str) -> bytes:
 
 
 def unpack_bits(data: bytes, width: int) -> str:
-    if 8 * len(data) < width:
-        raise ValueError("not enough bytes for requested bit width")
-    return int_to_bits(int.from_bytes(data, "big") >> (8 * len(data) - width), width)
+    """The first `width` bits of `data`, read MSB-first (the inverse of `pack_bits`)."""
+    if not 0 <= width <= 8 * len(data):
+        raise ValueError(f"cannot unpack {width} bits from {len(data)} bytes")
+    value = int.from_bytes(data, "big") >> (8 * len(data) - width)
+    return bin(value)[2:].zfill(width) if width else ""

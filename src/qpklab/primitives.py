@@ -15,7 +15,9 @@ per key, the PRFSPD slot state one 2^m-point table per block it builds
 (`ToyPrfspd.graph`). The `prfs` challenge ensemble takes its key states from
 one table per key as well (`PhasePrfs.uniform_isometry`), while `gen` still
 calls the PRF once per phase bit. An injected PRF callable is still called
-once per point and its outputs checked.
+once per point and its outputs checked. `PrfspdScheme.decrypt` verifies its
+proofs under one key the same way (`ToyPrfspd._verify_slots`): one keyed
+prefix, one digest per proof.
 
 Both state families take their PRF as `prf=` (default `prf_eval`), as
 `schemes.OwfScheme` does: the random-function hybrid passes a
@@ -70,6 +72,12 @@ def prf_eval(key: str, x: str, out_width: int) -> str:
     return _sha_bits(f"qpklab-prf|{key}|{x}", out_width)
 
 
+def _keyed_prefix(key: str):
+    """The key checked, and the "qpklab-prf|<key>|" part of `prf_eval`'s labels hashed."""
+    check_bits(key)
+    return hashlib.sha256(f"qpklab-prf|{key}|".encode())
+
+
 def prf_table(key: str, inputs, in_width: int, out_width: int, prf=prf_eval) -> np.ndarray:
     """`prf_eval` at every input of an integer array, as integers of the same shape.
 
@@ -81,7 +89,7 @@ def prf_table(key: str, inputs, in_width: int, out_width: int, prf=prf_eval) -> 
     output must be an `out_width`-bit string. The table is int64, or object
     for outputs wider than 63 bits.
     """
-    check_bits(key)
+    keyed = _keyed_prefix(key)
     if in_width < 0 or out_width < 0:
         raise ValueError(f"PRF widths must be nonnegative, got in {in_width}, out {out_width}")
     inputs = np.asarray(inputs, dtype=np.int64)
@@ -92,7 +100,6 @@ def prf_table(key: str, inputs, in_width: int, out_width: int, prf=prf_eval) -> 
         out = [bits_to_int(check_bits(prf(key, int_to_bits(v, in_width), out_width), out_width))
                for v in inputs.ravel().tolist()]
         return np.array(out, dtype=dtype).reshape(inputs.shape)
-    keyed = hashlib.sha256(f"qpklab-prf|{key}|".encode())
     spec = f"0{in_width}b"
     out = [_sha_int(keyed, format(v, spec) if in_width else "", out_width)
            for v in inputs.ravel().tolist()]
@@ -341,10 +348,28 @@ class ToyPrfspd(_StateFamily):
         return sim.sample_outcome(state, state.full_range(), rng)
 
     def verify(self, key: str, x: str, proof: str) -> int:
+        """1 iff the proof (y, z) of input x verifies: z = f_k(x||y)."""
+        check_bits(x)
         check_bits(proof, self.params.proof_width)
-        m = self.params.measured_width
-        y, z = proof[:m], proof[m:]
-        return int(z == self._prf(key, x + y, self.params.tag_width))
+        return int(self._verify_slots(key, ((x, proof),)))
+
+    def _verify_slots(self, key: str, slots) -> str:
+        """`verify(key, x, proof)` for each (x, proof) of `slots`, as one verdict bit each.
+
+        The slots must already be checked: bitstrings, proofs of c bits
+        (`verify` and `PrfspdScheme.decrypt` check them). The key is checked
+        and its PRF prefix hashed once; each slot then costs one SHA-256
+        digest per 256 tag bits, with the normative label x||y of `prf_eval`.
+        An injected PRF (any callable other than `prf_eval` as this module
+        names it at call time) is called once per slot.
+        """
+        m, t = self.params.measured_width, self.params.tag_width
+        if self._prf is not prf_eval:
+            return "".join("1" if proof[m:] == self._prf(key, x + proof[:m], t) else "0"
+                           for x, proof in slots)
+        keyed = _keyed_prefix(key)
+        return "".join("1" if int(proof[m:], 2) == _sha_int(keyed, x + proof[:m], t) else "0"
+                       for x, proof in slots)
 
     def accepting_density(self) -> float:
         """Probability that a uniformly random proof verifies (any key, input)."""

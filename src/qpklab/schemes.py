@@ -21,6 +21,12 @@ arrays built from the key states and the cipher for `analysis` to solve: the
 scheme's keyed primitive is swapped with `prf=`: on `OwfScheme` itself, and
 on the `PhasePrfs` or `ToyPrfspd` family a scheme is built from.
 
+`decrypt` checks every classical ciphertext field once at its edge: a
+bitstring (`_check_field`), of the width the scheme fixes, else a
+`SchemeError`. Past it the fields are taken as checked: the PRFSPD `decrypt`
+verifies its lambda slots through one `ToyPrfspd._verify_slots` call, which
+hashes the key's PRF prefix once and each slot label x||y once.
+
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, keeps
   the outcome x || f_dk(x) as the copy's residue, and symmetric-encrypts under
   f_dk(x). Classical ciphertexts, perfect correctness, encryption-oracle games.
@@ -36,7 +42,6 @@ on the `PhasePrfs` or `ToyPrfspd` family a scheme is built from.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import partial
 
@@ -201,6 +206,17 @@ def _check_width(field_name: str, bits: str, width: int):
         raise SchemeError(f"ciphertext {field_name} has {len(bits)} bits, expected {width}")
 
 
+def _check_field(field_name: str, bits, width: int | None = None):
+    """A ciphertext field handed to `decrypt`: a bitstring, of `width` bits where the
+    scheme fixes it, checked once before any of it is hashed."""
+    try:
+        check_bits(bits)
+    except ValueError:
+        raise SchemeError(f"ciphertext {field_name} is not a bitstring: {bits!r}") from None
+    if width is not None:
+        _check_width(field_name, bits, width)
+
+
 class OwfScheme(QpkeScheme):
     """PRF-based scheme with classical ciphertexts and perfect correctness."""
 
@@ -254,8 +270,9 @@ class OwfScheme(QpkeScheme):
 
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme1Ciphertext)
-        _check_width("x", ct.x, self.security_param)
-        _check_width("nonce", ct.body.nonce, self.prf_output_width)
+        _check_field("x", ct.x, self.security_param)
+        _check_field("nonce", ct.body.nonce, self.prf_output_width)
+        _check_field("body", ct.body.body)
         y = self.prf(dk.bits, ct.x, self.prf_output_width)
         return self.ske.decrypt(y, ct.body)
 
@@ -294,12 +311,13 @@ class PrfspdScheme(QpkeScheme):
         lam = self.security_param
         c = self.prfspd.params.proof_width
         k = random_bits(lam, rng)
-        slots = []
-        for i, (x, y) in enumerate(qpk.residue):
-            y_tilde = random_bits(c, rng) if k[i] == "0" else y
-            slots.append((x, y_tilde))
+        # one draw for every decoy proof, cut in slot order: the same bits and the same
+        # later rng state as one c-bit draw per zero of k
+        decoys = random_bits(c * k.count("0"), rng)
+        pieces = (decoys[i:i + c] for i in range(0, len(decoys), c))
+        slots = tuple((x, y if bit == "1" else next(pieces)) for bit, (x, y) in zip(k, qpk.residue))
         body = self.ske.encrypt(k, message, rng)
-        return qpk, Scheme2Ciphertext(lam, body, tuple(slots))
+        return qpk, Scheme2Ciphertext(lam, body, slots)
 
     def decrypt_success_exact(self) -> float:
         """Probability that decryption recovers the whole one-time key k.
@@ -316,15 +334,15 @@ class PrfspdScheme(QpkeScheme):
 
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme2Ciphertext)
-        lam = self.security_param
-        _check_width("nonce", ct.body.nonce, lam)
+        lam, c = self.security_param, self.prfspd.params.proof_width
+        _check_field("nonce", ct.body.nonce, lam)
+        _check_field("body", ct.body.body)
         if len(ct.slots) != lam:
             raise SchemeError(f"ciphertext has {len(ct.slots)} slots, expected {lam}")
         for x, y_tilde in ct.slots:
-            _check_width("slot input", x, lam)
-            _check_width("slot proof", y_tilde, self.prfspd.params.proof_width)
-        k = "".join(str(self.prfspd.verify(dk.bits, x, y_tilde)) for x, y_tilde in ct.slots)
-        return self.ske.decrypt(k, ct.body)
+            _check_field("slot input", x, lam)
+            _check_field("slot proof", y_tilde, c)
+        return self.ske.decrypt(self.prfspd._verify_slots(dk.bits, ct.slots), ct.body)
 
 
 class PrfsScheme(QpkeScheme):
@@ -418,12 +436,24 @@ class PrfsScheme(QpkeScheme):
 # count, then per slot x and y~. The parser checks the widths that the
 # security parameter fixes (x; the Scheme 2 nonce, slot count and slot
 # inputs); `decrypt` checks the widths that depend on the scheme's other
-# parameters.
+# parameters. A field or count too wide for its u16 is a `SchemeError`.
+
+_U16_MAX = 0xFFFF
 
 
-def _put_bits(parts: list, s: str):
-    parts.append(struct.pack(">H", len(s)))
-    parts.append(pack_bits(s))
+def _u16(field_name: str, value: int) -> bytes:
+    if not 0 <= value <= _U16_MAX:
+        raise SchemeError(f"ciphertext {field_name} {value} does not fit the u16 limit {_U16_MAX}")
+    return value.to_bytes(2, "big")
+
+
+def _put_bits(parts: list, field_name: str, s: str):
+    """One bit field: its u16 bit length, then its bits packed MSB-first, zero-padded."""
+    try:
+        packed = pack_bits(s)
+    except ValueError:
+        raise SchemeError(f"ciphertext {field_name} is not a bitstring: {s!r}") from None
+    parts.append(_u16(f"{field_name} bit length", len(s)) + packed)
 
 
 class _Reader:
@@ -460,20 +490,18 @@ class _Reader:
 def serialize_ciphertext(ct) -> bytes:
     parts: list = []
     if isinstance(ct, Scheme1Ciphertext):
-        parts.append(b"\x01")
-        parts.append(struct.pack(">H", ct.security_param))
-        _put_bits(parts, ct.x)
-        _put_bits(parts, ct.body.nonce)
-        _put_bits(parts, ct.body.body)
+        parts.append(b"\x01" + _u16("security parameter", ct.security_param))
+        _put_bits(parts, "x", ct.x)
+        _put_bits(parts, "nonce", ct.body.nonce)
+        _put_bits(parts, "body", ct.body.body)
     elif isinstance(ct, Scheme2Ciphertext):
-        parts.append(b"\x02")
-        parts.append(struct.pack(">H", ct.security_param))
-        _put_bits(parts, ct.body.nonce)
-        _put_bits(parts, ct.body.body)
-        parts.append(struct.pack(">H", len(ct.slots)))
+        parts.append(b"\x02" + _u16("security parameter", ct.security_param))
+        _put_bits(parts, "nonce", ct.body.nonce)
+        _put_bits(parts, "body", ct.body.body)
+        parts.append(_u16("slot count", len(ct.slots)))
         for x, y_tilde in ct.slots:
-            _put_bits(parts, x)
-            _put_bits(parts, y_tilde)
+            _put_bits(parts, "slot input", x)
+            _put_bits(parts, "slot proof", y_tilde)
     else:
         raise SchemeError("only classical ciphertexts serialize to bytes")
     return b"".join(parts)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpklab.bits import (
@@ -119,3 +119,29 @@ def test_unpack_matches_reference(data, width):
             unpack_bits(data, width)
     else:
         assert unpack_bits(data, width) == reference_unpack_bits(data, width)
+
+
+def reference_check_bits(s):
+    return isinstance(s, str) and set(s) <= {"0", "1"}
+
+
+# with the characters int(s, 2) tolerates, which the count test must still reject
+@given(st.text(alphabet="01_ +-b2", max_size=80))
+def test_check_bits_matches_the_set_definition(s):
+    if reference_check_bits(s):
+        assert check_bits(s) == s
+    else:
+        with pytest.raises(ValueError, match="not a bitstring"):
+            check_bits(s)
+
+
+@given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 2**32 - 1))
+@example(0, 0, 1)
+@example(7, 0, 1)
+@example(3, 5, 1)
+def test_two_draws_equal_one_draw_of_their_total_width(a, b, seed):
+    # encryption draws all its decoy proofs at once and cuts them; this pins
+    # that numpy's int64 draws concatenate, later rng state included
+    split, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert random_bits(a, split) + random_bits(b, split) == random_bits(a + b, whole)
+    assert split.bit_generator.state == whole.bit_generator.state

@@ -192,8 +192,10 @@ def test_ske_wrong_key(rng):
 def test_ske_errors(rng):
     with pytest.raises(ValueError):
         StreamSke().encrypt("", "101", rng)
-    with pytest.raises(ValueError):
-        StreamSke().encrypt("01", "10x", rng)
+    # int(..., 2) would read the last three as 2
+    for message in ("10x", "1_0", " 10", "+10"):
+        with pytest.raises(ValueError, match="not a bitstring"):
+            StreamSke().encrypt("01", message, rng)
 
 
 def test_fixed_nonce_mutation(rng):
@@ -395,6 +397,34 @@ def test_prfspd_isometry_on_a_basis_state_evaluates_only_its_row():
     block = ToyPrfspd(family.params).gen("10110", "01101")
     expected = sim.tensor(sim.basis_state(lam, "01101"), block)
     assert np.array_equal(state.amplitudes, expected.amplitudes)
+
+
+@pytest.mark.parametrize("make_prf", [
+    lambda: prf_eval,
+    lambda: (lambda key, x, w: "0" * w),
+    lambda: RandomFunctionTable(3, np.random.default_rng(5)),
+], ids=["prf_eval", "constant", "random-table"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_batched_and_per_slot_verification_agree_with_the_definition_bit_for_bit(make_prf, m):
+    # every (x, proof) pair, verifying or not, under three keys: (y, z) verifies iff z = f_k(x||y)
+    params = PrfspdParams(3, 3, m, 3)
+    prf = make_prf()
+    pd = ToyPrfspd(params, prf=prf)
+    slots = [(int_to_bits(x, 3), int_to_bits(v, params.proof_width))
+             for x in range(8) for v in range(1 << params.proof_width)]
+    for key in ("000", "101", "110"):
+        verdicts = pd._verify_slots(key, slots)
+        assert verdicts == "".join("1" if proof[m:] == prf(key, x + proof[:m], 3) else "0"
+                                   for x, proof in slots)
+        assert verdicts == "".join(str(pd.verify(key, x, proof)) for x, proof in slots)
+        assert 0 < verdicts.count("1") < len(slots)
+
+
+def test_batched_verification_calls_an_injected_prf_once_per_slot():
+    calls = []
+    pd = ToyPrfspd(PrfspdParams(3, 3, 1, 3), prf=recording_prf(calls))
+    pd._verify_slots("101", [("010", "1001"), ("111", "0000"), ("010", "0110")])
+    assert calls == ["0101", "1110", "0100"]
 
 
 def test_prfspd_errors(rng):

@@ -1,4 +1,5 @@
 import math
+import sys
 import weakref
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpklab import analysis, schemes, sim
+from qpklab import analysis, primitives, schemes, sim
 from qpklab.bits import int_to_bits, random_bits
 from qpklab.games import wilson_interval
 from qpklab.primitives import (
@@ -261,6 +262,72 @@ def test_prfspd_decrypt_success_exact_enumerated(rng, lam, m, t):
     assert abs(scheme.decrypt_success_exact() - (1 - 2.0 ** -(t + 1)) ** lam) < 1e-12
 
 
+def encrypt_drawing_each_decoy_alone(scheme, qpk, message, rng):
+    """`PrfspdScheme.encrypt` with one c-bit draw per decoy proof, in slot order; also
+    returns the number of decoys."""
+    if qpk.residue is None:
+        scheme._measure_slots(qpk, rng)
+    c = scheme.prfspd.params.proof_width
+    k = random_bits(scheme.security_param, rng)
+    slots = tuple((x, random_bits(c, rng) if bit == "0" else y)
+                  for bit, (x, y) in zip(k, qpk.residue))
+    body = scheme.ske.encrypt(k, message, rng)
+    return Scheme2Ciphertext(scheme.security_param, body, slots), k.count("0")
+
+
+@pytest.mark.parametrize("lam,m,t", [(3, 1, 2), (3, 1, 3), (4, 0, 1), (5, 2, 2), (8, 1, 6)])
+def test_prfspd_encrypt_draws_as_one_draw_per_decoy(lam, m, t):
+    scheme = make_prfspd_scheme(lam, m, t)
+    c = scheme.prfspd.params.proof_width
+    decoy_bits = set()
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        dk = scheme.gen(rng)
+        assert scheme.gen(ref_rng) == dk
+        qpk, ref_qpk = scheme.qpk_gen(dk), scheme.qpk_gen(dk)
+        for width in (0, 5, 64, 0):
+            message = "10" * (width // 2) + "1" * (width % 2)
+            qpk, ct = scheme.encrypt(qpk, message, rng)
+            ref_ct, decoys = encrypt_drawing_each_decoy_alone(scheme, ref_qpk, message, ref_rng)
+            assert ct == ref_ct
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            decoy_bits.add(c * decoys)
+    assert c % 2 == 0 or any(bits % 2 for bits in decoy_bits)  # odd totals were drawn
+    assert lam > 3 or 0 in decoy_bits  # and a draw of no decoy at all
+
+
+def test_prfspd_decrypt_hashes_one_digest_per_slot_and_calls_no_prf(monkeypatch, rng):
+    scheme = make_prfspd_scheme(3, 1, 8)
+    dk = scheme.gen(rng)
+    _, ct = scheme.encrypt(scheme.qpk_gen(dk), "0111", rng)
+    labels, called = [], set()
+    real_sha_int = primitives._sha_int
+    monkeypatch.setattr(primitives, "_sha_int",
+                        lambda prefix, label, want: labels.append(label) or real_sha_int(
+                            prefix, label, want))
+    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
+    try:
+        plain = scheme.decrypt(dk, ct)
+    finally:
+        sys.setprofile(None)
+    assert plain == "0111"
+    assert prf_eval.__code__ not in called and ToyPrfspd.verify.__code__ not in called
+    # the SKE keystream takes one more digest, under its own label
+    assert [label for label in labels if not label.startswith("qpklab-ske|")] == [
+        x + proof[:1] for x, proof in ct.slots]
+
+
+def test_prfspd_decrypt_calls_an_injected_prf_once_per_slot(rng):
+    calls = []
+    counting = lambda key, x, w: calls.append(x) or prf_eval(key, x, w)  # noqa: E731
+    scheme = PrfspdScheme(4, ToyPrfspd(PrfspdParams(4, 4, 1, 3), prf=counting))
+    dk = scheme.gen(rng)
+    qpk, ct = scheme.encrypt(scheme.qpk_gen(dk), "0110", rng)
+    calls.clear()  # measuring the key evaluates the drawn blocks
+    scheme.decrypt(dk, ct)
+    assert calls == [x + proof[:1] for x, proof in ct.slots]
+
+
 def test_prfspd_residue_fixed_but_key_fresh(rng):
     scheme = make_prfspd_scheme(3, 1, 3)
     dk = scheme.gen(rng)
@@ -327,6 +394,20 @@ def test_owf_decrypt_rejects_malformed_ciphertexts(rng):
     for bad in (replace(ct, x="0"), replace(ct, x=ct.x + "1"), replace(ct, security_param=4)):
         with pytest.raises(SchemeError):
             scheme.decrypt(dk, bad)
+    # fields that are not bitstrings; int(..., 2) would read the body ones as numbers
+    nonce, body = ct.body.nonce, ct.body.body
+    not_bits = [replace(ct, x="0_1"), replace(ct, x=None),
+                replace(ct, body=SkeCiphertext("ab", body)),
+                replace(ct, body=SkeCiphertext(nonce, " 110")),
+                replace(ct, body=SkeCiphertext(nonce, "+110"))]
+    for malformed in not_bits:
+        with pytest.raises(SchemeError, match="not a bitstring"):
+            scheme.decrypt(dk, malformed)
+    owf2 = OwfScheme(2)
+    dk2 = owf2.gen(rng)
+    _, ct2 = owf2.encrypt(owf2.qpk_gen(dk2), "10", rng)
+    with pytest.raises(SchemeError, match="nonce is not a bitstring"):
+        owf2.decrypt(dk2, replace(ct2, body=SkeCiphertext("ab", ct2.body.body)))
 
 
 def test_prfspd_decrypt_rejects_malformed_ciphertexts(rng):
@@ -344,6 +425,16 @@ def test_prfspd_decrypt_rejects_malformed_ciphertexts(rng):
     ]
     for malformed in bad:
         with pytest.raises(SchemeError):
+            scheme.decrypt(dk, malformed)
+    # fields that are not bitstrings; int(..., 2) would read the body ones as numbers
+    nonce = ct.body.nonce
+    not_bits = [replace(ct, body=SkeCiphertext(nonce, body)) for body in (" 101", "1_01", "+101")]
+    not_bits += [replace(ct, body=SkeCiphertext("1 0", ct.body.body)),
+                 replace(ct, slots=(("0_1", y0), *rest)),
+                 replace(ct, slots=((x0, y0[:-1] + "2"), *rest)),
+                 replace(ct, slots=((x0, 5), *rest))]
+    for malformed in not_bits:
+        with pytest.raises(SchemeError, match="not a bitstring"):
             scheme.decrypt(dk, malformed)
 
 
@@ -402,6 +493,20 @@ def test_serialize_errors(rng):
     _, ct = scheme.encrypt(qpk, "0", rng)
     with pytest.raises(SchemeError):
         serialize_ciphertext(ct)  # quantum payloads have no byte form
+
+
+def test_serialize_rejects_fields_the_wire_cannot_hold(rng):
+    scheme = make_prfspd_scheme(3, 1, 3)
+    _, ct = scheme.encrypt(scheme.qpk_gen(scheme.gen(rng)), "1" * 70_000, rng)
+    with pytest.raises(SchemeError, match="body bit length 70000 does not fit the u16 limit 65535"):
+        serialize_ciphertext(ct)
+    with pytest.raises(SchemeError, match="security parameter 65536 does not fit the u16"):
+        serialize_ciphertext(Scheme1Ciphertext(1 << 16, "0", SkeCiphertext("0", "1")))
+    with pytest.raises(SchemeError, match="slot count 65536 does not fit the u16"):
+        serialize_ciphertext(Scheme2Ciphertext(1, SkeCiphertext("0", "1"), (("0", "1"),) * (1 << 16)))
+    # int(..., 2) would read "1_0" as 2
+    with pytest.raises(SchemeError, match="x is not a bitstring"):
+        serialize_ciphertext(Scheme1Ciphertext(3, "1_0", SkeCiphertext("0", "1")))
 
 
 @given(x=bit_fields, nonce=bit_fields, body=bit_fields, data=st.data())
@@ -466,9 +571,11 @@ def test_deserialize_rejects_short_and_trailing_input(make_scheme, rng):
     _, ct = scheme.encrypt(scheme.qpk_gen(scheme.gen(rng)), "0111", rng)
     data = serialize_ciphertext(ct)
     assert deserialize_ciphertext(data) == ct
-    for cut in range(len(data)):
-        with pytest.raises(SchemeError):
+    for cut in range(1, len(data)):
+        with pytest.raises(SchemeError, match="truncated"):
             deserialize_ciphertext(data[:cut])
+    with pytest.raises(SchemeError, match="empty"):
+        deserialize_ciphertext(b"")
     for tail in (b"\x00", b"\x00\x01"):
         with pytest.raises(SchemeError):
             deserialize_ciphertext(data + tail)
@@ -530,6 +637,26 @@ def test_single_byte_mutation_is_rejected_or_canonical(data, position, value):
     except SchemeError:
         return
     assert serialize_ciphertext(ct) == mutated
+
+
+wire_inputs = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda valid, cut, tail: valid[:cut] + tail,  # a valid prefix, then any bytes
+              st.sampled_from(VALID_WIRE), st.integers(0, 40), st.binary(max_size=8)),
+)
+
+
+@given(wire_inputs)
+@example(VALID_WIRE[0])
+@example(VALID_WIRE[1])
+@example(b"\x01\x00\x00\x00\x00\x00\x00\x00\x00")  # lambda 0, three empty fields
+@settings(max_examples=400, deadline=None)
+def test_parser_on_arbitrary_bytes_rejects_or_reproduces_them(data):
+    try:
+        ct = deserialize_ciphertext(data)
+    except SchemeError:
+        return
+    assert serialize_ciphertext(ct) == data
 
 
 # --- challenge ensembles ------------------------------------------------------
