@@ -17,13 +17,14 @@ amplitude or rank:
   stays at the p(lam+n) qubits of the dense copies it stands for;
 - the commuting check tensors p+1 copies of the same 2^lam support
   amplitudes, (p+1)*lam qubits in place of (p+1)(lam+n), with the same
-  dense-qubit guard, and measures one register at a time over every branch
-  at once, by slicing that keeps only the measured register's blocks, never
-  a zero-padded full-size vector;
+  dense-qubit guard as its only size limit, and measures one register at a
+  time over every branch at once, by slicing that keeps only the measured
+  register's blocks, never a zero-padded full-size vector; an outcome is
+  one integer, and so is each entry the real-vs-fresh-key check counts;
 - Helstrom values solve the schemes' `challenge_ensemble` from Gram
   matrices: p key copies are the power C^p of the key-state overlaps, one
-  block per label (x* or (x*, r, body)), blocks of one size solved as one
-  stack, each block's eigenvalues below 1e-12 times its largest dropped;
+  block per label (x* or (x*, r, body), one integer each), blocks of one
+  size solved as one stack, each block's eigenvalues below 1e-12 of its largest dropped;
 - the `prfs` random-function Helstrom value uses rho1 = w*I and the spectrum
   of rho0, whose x* blocks are permutations of one another: of block 0,
   only the 2^(2n) rows that differ from w*I are built and solved, so the
@@ -32,14 +33,14 @@ amplitude or rank:
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import sim
-from .bits import check_bits, int_to_bits
+from .bits import check_bits
 from .primitives import PhasePrfs, PrfsParams, StreamSke
 from .schemes import ChallengeEnsemble, DecryptionKey, OwfScheme, PrfsScheme
 from .sim import PureState, WireRange
@@ -70,8 +71,14 @@ class Check:
         return self.reference is not None and not lo <= self.reference <= hi
 
 
-def _check_sizes(lam: int, copies: int = 0, queries: int = 0, output_width: int = 1) -> None:
-    """Raise ValueError, before anything is built, for a size that has no meaning."""
+def _check_sizes(lam: int, copies: int = 0, queries: int = 0, output_width: int = 1) -> tuple:
+    """The four sizes as ints, read through `operator.index` so numpy integers pass;
+    ValueError, before anything is built, for a size that has no meaning."""
+    sizes = (lam, copies, queries, output_width)
+    try:
+        lam, copies, queries, output_width = map(operator.index, sizes)
+    except TypeError:
+        raise ValueError(f"sizes (lam, copies, queries, width) must be integers: {sizes}") from None
     if lam < 1:
         raise ValueError(f"security parameter {lam} is below 1")
     if output_width < 1:
@@ -80,6 +87,7 @@ def _check_sizes(lam: int, copies: int = 0, queries: int = 0, output_width: int 
         raise ValueError("copy count must be nonnegative")
     if queries < 0:
         raise ValueError("query count must be nonnegative")
+    return lam, copies, queries, output_width
 
 
 # --- punctured-key trace distance -----------------------------------------
@@ -101,7 +109,7 @@ def _on_key_support(lam: int, qpk: PureState, *others: PureState) -> list[PureSt
 
 def punctured_key_distance(lam: int, copies: int) -> float:
     """Closed form sqrt(1 - (1 - 2^-lam)^p) for p copies of the punctured key."""
-    _check_sizes(lam, copies)
+    lam, copies, _, _ = _check_sizes(lam, copies)
     return float(np.sqrt(max(0.0, 1.0 - (1.0 - 2.0**-lam) ** copies)))
 
 
@@ -119,13 +127,12 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
     raises. The capacity guard stays at the p(lam+n) qubits of the state
     this check stands for.
     """
-    _check_sizes(lam, copies, output_width=prf_output_width)
+    lam, copies, _, n = _check_sizes(lam, copies, output_width=prf_output_width)
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
     check_bits(dk_bits, lam)
     if copies == 0:
         return 0.0
     x_star = x_star if x_star is not None else "0" * lam
-    n = prf_output_width
     sim.check_capacity(copies * (lam + n), "explicit tensor construction")
     qpk = OwfScheme(lam, prf_output_width=n).qpk_gen(DecryptionKey(dk_bits)).state
     punctured = sim.puncture(qpk, x_star, WireRange(n, lam))
@@ -141,32 +148,35 @@ def punctured_key_distance_explicit(lam: int, copies: int, prf_output_width: int
 def _joint_distribution(state: PureState, labelled_ranges):
     """Exact outcome distribution for measuring the given registers in order.
 
-    `labelled_ranges` is a sequence of (label, WireRange); the result maps
-    label-sorted outcome tuples to probabilities so different measurement
-    orders are directly comparable. One register is measured at a time, over
-    every surviving branch at once: each branch's amplitudes are sliced into
-    the blocks of the register's values (the block `sim._register_block`
-    takes), the measured register's wires dropped and the registers above it
-    moved down by its width, so no branch builds a full-size vector. Each
-    block's probability is its own `np.vdot`, and a kept block is divided by
-    the square root of it as the branch of the next register; the last
+    `labelled_ranges` is a sequence of (label, WireRange) with distinct
+    labels; the result maps each outcome, as one integer, to its probability.
+    The integer writes the registers' values side by side in order of label,
+    the first label's on the highest bits, so different measurement orders
+    are directly comparable. One register is measured at a time, over every
+    surviving branch at once: each branch's amplitudes are sliced into the
+    blocks of the register's values (the block `sim._register_block` takes),
+    the measured register's wires dropped and the registers above it moved
+    down by its width, so no branch builds a full-size vector. Each block's
+    probability is its own `np.vdot`, and a kept block is divided by the
+    square root of it as the branch of the next register; the last
     register's blocks are never renormalized: their probabilities go
     straight into the distribution. Branches stay in depth-first order, so
-    every value and every key's position are those of measuring one branch
-    at a time.
+    every value and every outcome's position are those of measuring one
+    branch at a time.
     """
+    ranges = list(labelled_ranges)
+    # where each register's value sits in the outcome: above the registers of later labels
+    places = [sum(w.width for other, w in ranges if other > label) for label, _ in ranges]
     # where each register sits once the registers measured before it are dropped
-    levels, rest = [], list(labelled_ranges)
+    levels, rest = [], list(zip(places, (wires for _, wires in ranges)))
     while rest:
-        (label, wires), rest = rest[0], rest[1:]
-        levels.append((label, wires))
+        (place, wires), rest = rest[0], rest[1:]
+        levels.append((place, wires))
         rest = [(other, WireRange(w.offset - wires.width, w.width)
                  if w.offset > wires.offset else w) for other, w in rest]
-    if not levels:
-        return {(): 1.0}
     # one row per branch: its renormalized amplitudes, outcome so far and probability
-    branches, outcomes, probs = state.amplitudes[None], [()], np.ones(1)
-    for depth, (label, wires) in enumerate(levels):
+    branches, outcomes, probs = state.amplitudes[None], np.zeros(1, dtype=np.int64), np.ones(1)
+    for depth, (place, wires) in enumerate(levels):
         size = 1 << wires.width
         # (branch, above, value, below) -> one row per (branch, value), in that order
         tiles = branches.reshape(len(branches), -1, size, 1 << wires.offset).transpose(0, 2, 1, 3)
@@ -177,34 +187,19 @@ def _joint_distribution(state: PureState, labelled_ranges):
         laid_out = (row for tile in tiles[..., 0] for row in tile) if wires.offset == 0 else blocks
         p = np.array([np.vdot(block, block).real for block in laid_out])
         kept = np.flatnonzero(p > sim.ATOL_EXACT**2)
-        values = [int_to_bits(v, wires.width) for v in range(size)]
-        outcomes = [outcomes[i // size] + ((label, values[i % size]),) for i in kept.tolist()]
+        outcomes = outcomes[kept // size] | (kept % size) << place
         probs = probs[kept // size] * p[kept]
         if depth + 1 < len(levels):
             # numpy divides complex by real as a product with the
             # reciprocal, so this real product keeps every bit of block / sqrt(p)
             floats = blocks[kept].view(np.float64) * (1.0 / np.sqrt(p[kept]))[:, None]
             branches = floats.view(np.complex128)
-    dist: dict = {}
-    for outcome, prob in zip(outcomes, probs.tolist()):
-        key = tuple(sorted(outcome))
-        dist[key] = dist.get(key, 0.0) + prob
-    return dist
+    return dict(zip(outcomes.tolist(), probs.tolist()))
 
 
 def total_variation(dist_a: dict, dist_b: dict) -> float:
     keys = set(dist_a) | set(dist_b)
     return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
-
-
-def _uniform_over(outcomes) -> dict:
-    """Distribution of a uniformly drawn entry of an enumeration (repeats count)."""
-    dist: dict = {}
-    count = 0
-    for outcome in outcomes:
-        dist[outcome] = dist.get(outcome, 0.0) + 1.0
-        count += 1
-    return {k: v / count for k, v in dist.items()}
 
 
 def _joint_key_state(lam: int, copies: int, dk_bits: str):
@@ -235,11 +230,10 @@ def commuting_measurement_check(lam: int, copies: int = 2,
     challenger measures last versus first, by sequential sliced projections
     (see `_joint_distribution`); the record judges the total-variation
     distance of the two orderings against 0, to 1e-12. The capacity guard
-    counts the (p+1)(lam+n) qubits of the dense copies, and lam > 3 raises.
+    counts the (p+1)(lam+n) qubits of the dense copies and is the only size
+    limit: at the default cap of 20 qubits, lam = 4 and lam = 5 run at p <= 1.
     """
-    _check_sizes(lam, copies)
-    if lam > 3:
-        raise sim.CapacityError("exhaustive enumeration is limited to lam <= 3")
+    lam, copies, _, _ = _check_sizes(lam, copies)
     dk_bits = dk_bits if dk_bits is not None else "0" * lam
     check_bits(dk_bits, lam)
     joint, ranges = _joint_key_state(lam, copies, dk_bits)
@@ -258,37 +252,37 @@ def random_key_indistinguishability_check(lam: int, queries: int = 3) -> Check:
 
     The function is a uniformly random one-bit table. The adversary sees the
     punctured key (determined by the table off x*), x*, and the bodies of the
-    oracle answers to the message "10". Enumerates every table, key value, and
-    nonce draw (the cipher's `nonce_space`), once their count fits the entry
-    budget; the record holds the total-variation distance between the two
-    visible-data distributions, judged against 0 to 1e-12.
+    oracle answers to the message "10". Every (x*, table off x*, h*, z, draw
+    of q nonces from the cipher's `nonce_space`) is counted, once their count
+    fits the entry budget, as the code ((x* * 2^(2^lam - 1) + table) * D +
+    draw) * 2 + key of what it shows: D draws, the first query's nonce the
+    highest digit, the key bit kept only where the keys' answers differ. The
+    record holds the total-variation distance of the two distributions of
+    codes, judged against 0 to 1e-12.
     """
-    _check_sizes(lam, queries=queries)
+    lam, _, queries, _ = _check_sizes(lam, queries=queries)
     # x*, the table off x*, h*, z and q nonces: 2^(lam + 2^lam + 1 + q) tuples, counted
     # up to twice the budget (2^lam up to 2^6), so no size makes a big integer
     tuples_log2 = lam + (1 << min(lam, 6)) + 1 + queries
     sim.check_entries(1 << min(tuples_log2, sim.q_max() + 1))
-    message = "10"
-    xs_all = [int_to_bits(v, lam) for v in range(1 << lam)]
-    vals = ["0", "1"]
     nonces = StreamSke().nonce_space(1)
+    bodies = np.array([[StreamSke().seal(key, r, "10").body for r in nonces] for key in "01"])
+    draws = np.arange(len(nonces) ** queries)
+    # the two keys answer a draw alike unless one of its nonces seals to two bodies
+    differ = np.zeros(draws.size, dtype=bool)
+    for j in range(queries):
+        differ |= (bodies[0] != bodies[1])[draws // len(nonces) ** j % len(nonces)]
+    answers = 2 * draws + np.arange(2)[:, None] * differ  # (key, draw)
+    # x* and the table off x* are the high digits, h* and z the middle axes
+    seen = np.arange((1 << lam) << ((1 << lam) - 1))[:, None, None, None] * (2 * draws.size)
+    grid = (len(seen), 2, 2, draws.size)
 
-    # the answers depend only on the key and the nonces: tabulate them once
-    bodies_of = {(key, r): StreamSke().seal(key, r, message).body for key in vals for r in nonces}
-    answers_of = {key: [tuple((r, bodies_of[key, r]) for r in drawn)
-                        for drawn in itertools.product(nonces, repeat=queries)]
-                  for key in vals}
+    def shares(codes):
+        values, counts = np.unique(np.broadcast_to(codes, grid), return_counts=True)
+        return dict(zip(values.tolist(), (counts / counts.sum()).tolist()))
 
-    def visible(key_from_table: bool):
-        for x_star in xs_all:
-            others = [x for x in xs_all if x != x_star]
-            for rest in itertools.product(vals, repeat=len(others)):
-                for h_star in vals:
-                    for z in vals:
-                        for answers in answers_of[h_star if key_from_table else z]:
-                            yield x_star, rest, answers
-
-    tv = total_variation(_uniform_over(visible(True)), _uniform_over(visible(False)))
+    real, fresh = shares(seen + answers[:, None, :]), shares(seen + answers[None, :, :])
+    tv = total_variation(real, fresh)
     return Check("random-key", f"lam={lam},queries={queries}", tv, "H3-H4",
                  reference=0.0, tolerance=1e-12, fmt=".3e")
 
@@ -333,10 +327,12 @@ def _gram_distance(ensemble: ChallengeEnsemble, copies: int) -> float:
     Inner products factor as C[k,k']^p * delta_label * <payload|payload'>
     with C the key-state overlaps, so each label is a block; blocks of one
     row count are solved together (`_stack_distance`) in order of first term.
+    Label rows are grouped by one integer each, their columns as mixed-radix digits.
     """
     overlap = (ensemble.key_states.conj() @ ensemble.key_states.T) ** copies
-    _, first, inverse = np.unique(ensemble.labels, axis=0, return_index=True, return_inverse=True)
-    block = np.argsort(np.argsort(first))[inverse.ravel()]
+    codes = np.ravel_multi_index(ensemble.labels.T, ensemble.labels.max(axis=0) + 1)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    block = np.argsort(np.argsort(first))[inverse]
     terms, sizes = np.argsort(block, kind="stable"), np.bincount(block)
     total = 0.0
     for size in dict.fromkeys(sizes.tolist()):  # in order of first block
@@ -409,7 +405,7 @@ def optimal_advantage(scheme: str, lam: int, copies: int, messages,
             ("owf", "prf"): OwfScheme}.get((scheme, mode))
     if kind is None:
         raise ValueError(f"no exact-advantage oracle for scheme {scheme!r} in mode {mode!r}")
-    _check_sizes(lam, copies, output_width=output_qubits)
+    lam, copies, _, output_qubits = _check_sizes(lam, copies, output_width=output_qubits)
     m0, m1 = messages
     kind.check_messages(m0, m1)
     if m0 == m1:

@@ -252,7 +252,8 @@ class OwfScheme(QpkeScheme):
     def challenge_ensemble(self, m0: str, m1: str) -> ChallengeEnsemble:
         """Every (key k, x*, nonce r) as the label (x*, r, body) that `encrypt` sends, payload
         1; f_k(x*) is read off the key's support, and the nonces are the cipher's own
-        `nonce_space`, each equally likely."""
+        `nonce_space`, each equally likely. Each (message, pad f_k(x*), nonce) is sealed once,
+        for the pads some key takes, and the terms gather their bodies by index."""
         self.check_messages(m0, m1)
         lam, n = self.security_param, self.prf_output_width
         nonces = self.ske.nonce_space(n)
@@ -260,10 +261,12 @@ class OwfScheme(QpkeScheme):
         sim.check_entries((len(nonces) << lam) * (2 << lam) ** 2 + (1 << (2 * lam + n)))
         key_states = self._key_states()
         i, k, x, r = np.indices((2, 1 << lam, 1 << lam, len(nonces))).reshape(4, -1)  # i: message
-        y = key_states.reshape(1 << lam, 1 << lam, 1 << n).nonzero()[2].reshape(1 << lam, -1)[k, x]
-        sealed = [self.ske.seal(int_to_bits(yv, n), nonces[rv], (m0, m1)[iv]).body
-                  for iv, yv, rv in zip(i.tolist(), y.tolist(), r.tolist())]
+        images = key_states.reshape(1 << lam, 1 << lam, 1 << n).nonzero()[2].reshape(1 << lam, -1)
+        pads, pad_of = np.unique(images, return_inverse=True)
+        sealed = [self.ske.seal(int_to_bits(pad, n), nonce, m).body
+                  for m in (m0, m1) for pad in pads.tolist() for nonce in nonces]
         bodies, numbers = np.unique(sealed, return_inverse=True)
+        numbers = numbers.reshape(2, len(pads), -1)[i, pad_of.reshape(images.shape)[k, x], r]
         r_values = np.array([bits_to_int(nonce) for nonce in nonces])[r]
         return ChallengeEnsemble(key_states, np.stack([x, r_values, numbers], axis=1),
                                  (1 - 2 * i) / (i.size // 2), k, np.ones((i.size, 1)), bodies)

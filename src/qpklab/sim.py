@@ -152,7 +152,8 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """
     q = a.qubit_count + b.qubit_count
     check_capacity(q, "tensor product")
-    return PureState(q, np.kron(a.amplitudes, b.amplitudes))
+    # each entry is the one product a_i * b_j that np.kron forms, without its reshapes
+    return PureState(q, np.multiply.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def controlled_state(control: PureState, block_qubits: int, block_of) -> PureState:

@@ -192,6 +192,36 @@ def _enumerated_random_key_distributions(lam, queries, out_width=1, message="10"
     return visible_distribution(True), visible_distribution(False)
 
 
+def _decoded_visible(dist, lam, queries, message="10"):
+    """The random-key check's integer codes as the enumeration's (x*, table off
+    x*, answers) tuples: code = ((x* * 2^(2^lam - 1) + table) * 2^q + draw) * 2 + key."""
+    width = (1 << lam) - 1
+    decoded = {}
+    for code, prob in dist.items():
+        code, key = divmod(code, 2)
+        code, draw = divmod(code, 1 << queries)
+        x_star, table = divmod(code, 1 << width)
+        answers = tuple((r, xor_bits(_keystream(str(key), r, len(message)), message))
+                        for r in int_to_bits(draw, queries))
+        decoded[int_to_bits(x_star, lam), tuple(int_to_bits(table, width)), answers] = prob
+    return decoded
+
+
+def _decoded_outcomes(dist, labelled_ranges):
+    """`_joint_distribution`'s integer outcomes as label-sorted (label, bits)
+    tuples: the registers' values side by side, the first label's highest."""
+    registers = sorted((label, wires.width) for label, wires in labelled_ranges)
+    decoded = {}
+    for code, prob in dist.items():
+        bits = int_to_bits(code, sum(width for _, width in registers))
+        outcome = []
+        for label, width in registers:
+            outcome.append((label, bits[:width]))
+            bits = bits[width:]
+        decoded[tuple(outcome)] = prob
+    return decoded
+
+
 def _renormalizing_joint_distribution(state, labelled_ranges):
     """`_joint_distribution` as a recursion that renormalizes every block it
     measures, the last register's too, and shifts the ranges at every branch."""
@@ -416,8 +446,21 @@ def test_joint_distribution_matches_projections(lam, ones):
     dk_bits = ("1" if ones else "0") * lam
     joint, ranges = analysis._joint_key_state(lam, 2, dk_bits)
     for order in (ranges, ranges[1:] + ranges[:1]):
-        sliced = analysis._joint_distribution(joint, order)
+        sliced = _decoded_outcomes(analysis._joint_distribution(joint, order), order)
         projected = _projected_joint_distribution(joint, order)
+        assert set(sliced) == set(projected)
+        for key, prob in projected.items():
+            assert abs(sliced[key] - prob) <= 1e-15
+
+
+def test_joint_distribution_orders_outcomes_by_label():
+    # the key copies are exchangeable, so only unlike registers on a state
+    # with no symmetry pin which label's value sits on the outcome's high bits
+    state = sim.haar_random_state(5, np.random.default_rng(7))
+    ranges = [("b", WireRange(3, 2)), ("a", WireRange(0, 3))]
+    for order in (ranges, ranges[::-1]):
+        sliced = _decoded_outcomes(analysis._joint_distribution(state, order), order)
+        projected = _projected_joint_distribution(state, order)
         assert set(sliced) == set(projected)
         for key, prob in projected.items():
             assert abs(sliced[key] - prob) <= 1e-15
@@ -429,7 +472,7 @@ def test_joint_distribution_keeps_the_bits_of_the_renormalizing_recursion(lam, c
     for dk_bits in ("0" * lam, "1" * lam, ("10" * lam)[:lam]):
         joint, ranges = analysis._joint_key_state(lam, copies, dk_bits)
         for order in (ranges, ranges[1:] + ranges[:1]):
-            assert (analysis._joint_distribution(joint, order)
+            assert (_decoded_outcomes(analysis._joint_distribution(joint, order), order)
                     == _renormalizing_joint_distribution(joint, order))
 
 
@@ -492,6 +535,13 @@ def test_commuting_check_rejects_negative_copies(monkeypatch, copies):
         analysis.commuting_measurement_check(2, copies=copies)
 
 
+@pytest.mark.parametrize("lam,copies", [(4, 0), (4, 1), (5, 1)])
+def test_commuting_check_reaches_past_lam_3(lam, copies):
+    # the dense-qubit guard is the only size limit: 2 * lam * (p + 1) <= 20 qubits
+    for dk_bits in ("0" * lam, "1" * lam):
+        assert analysis.commuting_measurement_check(lam, copies, dk_bits).value <= 1e-12
+
+
 def test_commuting_capacity():
     with pytest.raises(sim.CapacityError):
         analysis.commuting_measurement_check(4)
@@ -520,7 +570,8 @@ def test_random_key_check_matches_enumeration(lam, queries, monkeypatch):
                         lambda a, b: seen.append((a, b)) or total_variation(a, b))
     report = analysis.random_key_indistinguishability_check(lam, queries=queries)
     expected = _enumerated_random_key_distributions(lam, queries)
-    assert seen == [expected]
+    decoded = [tuple(_decoded_visible(dist, lam, queries) for dist in pair) for pair in seen]
+    assert decoded == [expected]
     assert report.value == total_variation(*expected)
 
 
@@ -539,6 +590,18 @@ def test_random_key_check_counts_its_tuples_before_enumerating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_random_key_check_memory_follows_its_tuples():
+    # lam=3, q=6 counts 2^18 tuples (`sim.check_entries`); its visible outcomes fill
+    # two distributions of 2^17 entries each, at most 256 bytes per counted tuple
+    tracemalloc.start()
+    try:
+        assert analysis.random_key_indistinguishability_check(3, queries=6).value == 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 18
 
 
 def test_total_variation():
@@ -666,6 +729,36 @@ def test_advantage_rejects_messages_the_scheme_does_not_encrypt(monkeypatch, sch
     monkeypatch.setattr(OwfScheme, "qpk_gen", fail)
     with pytest.raises(ValueError):
         analysis.optimal_advantage(scheme, 2, 1, messages, mode=mode)
+
+
+_ONE_SIZE = {
+    "helstrom-lam": lambda s: analysis.optimal_advantage("prfs", s, 1, ("0", "1")),
+    "helstrom-copies": lambda s: analysis.optimal_advantage("owf", 2, s, ("00", "11"),
+                                                            output_qubits=2),
+    "helstrom-width": lambda s: analysis.optimal_advantage("owf", 2, 1, ("00", "11"),
+                                                           output_qubits=s),
+    "punctured-copies": lambda s: analysis.punctured_key_distance(2, s),
+    "explicit-width": lambda s: analysis.punctured_key_distance_explicit(2, 1, s),
+    "commuting-lam": lambda s: analysis.commuting_measurement_check(s, 1, "0"),
+    "commuting-copies": lambda s: analysis.commuting_measurement_check(2, copies=s),
+    "random-key-queries": lambda s: analysis.random_key_indistinguishability_check(2, s),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_SIZE))
+def test_oracles_read_sizes_as_integers(monkeypatch, name):
+    call = _ONE_SIZE[name]
+    assert call(np.int64(1)) == call(1)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("state built before the sizes were checked")
+
+    monkeypatch.setattr(PhasePrfs, "oracle_isometry", fail)
+    monkeypatch.setattr(PhasePrfs, "uniform_isometry", fail)
+    monkeypatch.setattr(OwfScheme, "qpk_gen", fail)
+    for size in (1.5, 1.0):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(size)
 
 
 @pytest.mark.parametrize("call,reason", [

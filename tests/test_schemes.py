@@ -750,6 +750,34 @@ def test_owf_ensemble_reads_the_prf_off_the_key_states(monkeypatch):
     assert len(calls) == 8  # one table per key state, none more
 
 
+@pytest.mark.parametrize("ske", [StreamSke(), FixedNonceSke()], ids=["stream", "fixed-nonce"])
+@pytest.mark.parametrize("lam,n", [(lam, n) for lam in (1, 2, 3) for n in (1, 2, 3)])
+def test_owf_ensemble_equals_one_seal_per_term(lam, n, ske):
+    # the reference seals every (message, k, x*, nonce) term on its own, with
+    # f_k(x*) from `prf_eval`, and numbers the bodies over all terms at once
+    scheme, messages = OwfScheme(lam, prf_output_width=n, ske=ske), ("011", "100")
+    terms = [(i, k, x, nonce) for i in (0, 1) for k in range(1 << lam) for x in range(1 << lam)
+             for nonce in ske.nonce_space(n)]
+    sealed = [ske.seal(prf_eval(int_to_bits(k, lam), int_to_bits(x, lam), n), nonce,
+                       messages[i]).body for i, k, x, nonce in terms]
+    bodies, numbers = np.unique(sealed, return_inverse=True)
+    want = {
+        "key_states": np.array([scheme.qpk_gen(DecryptionKey(int_to_bits(v, lam))).state.amplitudes
+                                for v in range(1 << lam)]),
+        "labels": np.array([[x, int(nonce, 2), number]
+                            for (_, _, x, nonce), number in zip(terms, numbers.tolist())]),
+        "weights": np.array([(1 - 2 * i) / (len(terms) // 2) for i, *_ in terms]),
+        "keys": np.array([k for _, k, _, _ in terms]),
+        "payloads": np.ones((len(terms), 1)),
+        "bodies": bodies,
+    }
+    ensemble = scheme.challenge_ensemble(*messages)
+    for field, value in want.items():
+        got = getattr(ensemble, field)
+        assert got.dtype == value.dtype and got.shape == value.shape, field
+        assert got.tobytes() == value.tobytes(), field
+
+
 @pytest.mark.parametrize("prf", ["prf_eval", "constant", "random-function"])
 @pytest.mark.parametrize("lam,n", [(lam, n) for lam in (1, 2, 3, 4) for n in (1, 2, 3)])
 def test_prfs_key_rows_from_tables_equal_the_qpk_gen_states_bitwise(lam, n, prf):

@@ -440,6 +440,15 @@ def test_tensor_norm_and_overlap(rng):
     assert abs(inner - np.vdot(a.amplitudes, b.amplitudes) ** 2) < 1e-10
 
 
+@pytest.mark.parametrize("qa,qb", [(1, 1), (1, 4), (3, 2), (5, 5)])
+def test_tensor_equals_kron_bitwise(qa, qb):
+    rng = np.random.default_rng(8 * qa + qb)
+    a, b = sim.haar_random_state(qa, rng), sim.haar_random_state(qb, rng)
+    got = sim.tensor(a, b).amplitudes
+    want = np.kron(a.amplitudes, b.amplitudes)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_tensor_capacity():
     big = sim.uniform_superposition(sim.q_max() - 1)
     with pytest.raises(sim.CapacityError):
