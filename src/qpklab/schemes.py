@@ -9,11 +9,10 @@ graph states of the PRF, `sim.GraphState` recipes whose cells come from
 `primitives.prf_table`. The OWF key is materialized at once, from one table
 per key. The PRFSPD slot state stays a recipe (`ToyPrfspd.graph`, which
 neither calls nor fills the family's `gen` cache): `qpk_gen` evaluates no PRF
-point, and `sim.measure_control(..., copies=lambda)` draws the lambda slots
-from the control's marginal and builds only the lambda drawn blocks, 2^m PRF
-points each. The PRFS key is assembled from `PhasePrfs.gen` states by
-`sim.controlled_state`. Every quantum object is pure; a
-mixed state is an ensemble that is sampled, and the IND-CPA challenges of
+point, and `sim.measure_graph` draws every wire of the lambda slots at once
+from one table of 2^m PRF points per drawn block. The PRFS key is assembled
+from `PhasePrfs.gen` states by `sim.controlled_state`. Every quantum object is
+pure; a mixed state is an ensemble that is sampled, and the IND-CPA challenges of
 `owf` and `prfs` are enumerated next to `encrypt` by `challenge_ensemble`,
 arrays built from the key states and the cipher for `analysis` to solve: the
 `owf` key states from `qpk_gen`, the `prfs` ones from one PRF table per key
@@ -22,10 +21,10 @@ scheme's keyed primitive is swapped with `prf=`: on `OwfScheme` itself, and
 on the `PhasePrfs` or `ToyPrfspd` family a scheme is built from.
 
 `decrypt` checks every classical ciphertext field once at its edge: a
-bitstring (`_check_field`), of the width the scheme fixes, else a
-`SchemeError`. Past it the fields are taken as checked: the PRFSPD `decrypt`
-verifies its lambda slots through one `ToyPrfspd._verify_slots` call, which
-hashes the key's PRF prefix once and each slot label x||y once.
+bitstring of the width the scheme fixes, else a `SchemeError` (the PRFSPD
+fields by one `check_bits` over their join). Past it the fields are taken as
+checked: the PRFSPD `decrypt` verifies its lambda slots through one
+`ToyPrfspd._verify_slots` call, hashing the PRF prefix once and each x||y once.
 
 - OwfScheme: public key sum_x |x>|f_dk(x)>; encrypting measures it once, keeps
   the outcome x || f_dk(x) as the copy's residue, and symmetric-encrypts under
@@ -85,10 +84,9 @@ class QuantumPublicKey:
     held as a `sim.GraphState` recipe: measuring it builds the lambda drawn
     blocks, never the 2^(lambda+m+t) amplitudes (`materialize()` writes them).
     Copies of one key share that state with read-only amplitudes (a graph
-    state's control amplitudes). `residue`,
-    each copy's own, is None until an encryption measures the copy, then its
-    outcome (OWF x || f_dk(x), PRFSPD slots, PRFS x); presetting it conditions
-    the copy on one outcome.
+    state's control amplitudes). `residue`, each copy's own, is None until an
+    encryption measures the copy, then its outcome (OWF x || f_dk(x), PRFSPD
+    slots, PRFS x); presetting it conditions the copy on one outcome.
     """
 
     state: sim.PureState | sim.GraphState
@@ -201,20 +199,43 @@ class QpkeScheme:
                               f"does not match the scheme's {self.security_param}")
 
 
+def _wire_fields(ct) -> tuple:
+    """The names and values of a classical ciphertext's bit fields, in wire order; a body or
+    slots of another shape are a `SchemeError`."""
+    if not isinstance(ct.body, SkeCiphertext):
+        raise SchemeError(f"ciphertext body is not a symmetric ciphertext: {ct.body!r}")
+    if isinstance(ct, Scheme1Ciphertext):
+        return ("x", "nonce", "body"), (ct.x, ct.body.nonce, ct.body.body)
+    try:
+        slots = [bits for x, y_tilde in ct.slots for bits in (x, y_tilde)]
+    except (TypeError, ValueError):
+        raise SchemeError("ciphertext slots are not a sequence of (input, proof) pairs") from None
+    return (("nonce", "body", *("slot input", "slot proof") * (len(slots) // 2)),
+            (ct.body.nonce, ct.body.body, *slots))
+
+
 def _check_width(field_name: str, bits: str, width: int):
     if len(bits) != width:
         raise SchemeError(f"ciphertext {field_name} has {len(bits)} bits, expected {width}")
 
 
-def _check_field(field_name: str, bits, width: int | None = None):
-    """A ciphertext field handed to `decrypt`: a bitstring, of `width` bits where the
-    scheme fixes it, checked once before any of it is hashed."""
+def _check_fields(names, widths, fields):
+    """Ciphertext fields: bitstrings of their widths (None: any), by one `check_bits` of
+    their join; a failure is named by checking one field at a time, in order."""
     try:
-        check_bits(bits)
+        if all(isinstance(bits, str) and (width is None or len(bits) == width)
+               for width, bits in zip(widths, fields)):
+            check_bits("".join(fields))
+            return
     except ValueError:
-        raise SchemeError(f"ciphertext {field_name} is not a bitstring: {bits!r}") from None
-    if width is not None:
-        _check_width(field_name, bits, width)
+        pass
+    for name, width, bits in zip(names, widths, fields):
+        try:
+            check_bits(bits)
+        except ValueError:
+            raise SchemeError(f"ciphertext {name} is not a bitstring: {bits!r}") from None
+        if width is not None:
+            _check_width(name, bits, width)
 
 
 class OwfScheme(QpkeScheme):
@@ -273,9 +294,8 @@ class OwfScheme(QpkeScheme):
 
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme1Ciphertext)
-        _check_field("x", ct.x, self.security_param)
-        _check_field("nonce", ct.body.nonce, self.prf_output_width)
-        _check_field("body", ct.body.body)
+        names, fields = _wire_fields(ct)
+        _check_fields(names, (self.security_param, self.prf_output_width, None), fields)
         y = self.prf(dk.bits, ct.x, self.prf_output_width)
         return self.ske.decrypt(y, ct.body)
 
@@ -301,18 +321,18 @@ class PrfspdScheme(QpkeScheme):
         return self.prfspd.graph(dk.bits, sim.uniform_superposition(self.security_param))
 
     def _measure_slots(self, qpk: QuantumPublicKey, rng):
-        """Measure lambda copies of the slot state and delete each residual state."""
-        lam = self.security_param
-        slots = sim.measure_control(qpk.state, lam, rng, copies=lam)
-        # each delete draws from rng between two slot draws, as lam single measurements would
-        qpk.residue = tuple((x, self.prfspd.delete(block, rng)) for x, block in slots)
+        """Measure lambda copies of the slot state: each slot's x, then the deletion proof
+        `ToyPrfspd.delete` would draw from its block, by one `sim.measure_graph` call."""
+        lam, c = self.security_param, self.prfspd.params.proof_width
+        xs, proofs = sim.measure_graph(qpk.state, rng, lam)
+        qpk.residue = tuple((int_to_bits(x, lam), int_to_bits(proof, c))
+                            for x, proof in zip(xs.tolist(), proofs.tolist()))
 
     def encrypt(self, qpk: QuantumPublicKey, message: str, rng):
         self.check_message(message)
         if qpk.residue is None:
             self._measure_slots(qpk, rng)
-        lam = self.security_param
-        c = self.prfspd.params.proof_width
+        lam, c = self.security_param, self.prfspd.params.proof_width
         k = random_bits(lam, rng)
         # one draw for every decoy proof, cut in slot order: the same bits and the same
         # later rng state as one c-bit draw per zero of k
@@ -338,14 +358,12 @@ class PrfspdScheme(QpkeScheme):
     def decrypt(self, dk, ct, rng=None):
         self._check_ciphertext(ct, Scheme2Ciphertext)
         lam, c = self.security_param, self.prfspd.params.proof_width
-        _check_field("nonce", ct.body.nonce, lam)
-        _check_field("body", ct.body.body)
-        if len(ct.slots) != lam:
-            raise SchemeError(f"ciphertext has {len(ct.slots)} slots, expected {lam}")
-        for x, y_tilde in ct.slots:
-            _check_field("slot input", x, lam)
-            _check_field("slot proof", y_tilde, c)
-        return self.ske.decrypt(self.prfspd._verify_slots(dk.bits, ct.slots), ct.body)
+        names, fields = _wire_fields(ct)
+        if len(fields) != 2 + 2 * lam:
+            raise SchemeError(f"ciphertext has {len(fields) // 2 - 1} slots, expected {lam}")
+        _check_fields(names, (lam, None, *(lam, c) * lam), fields)
+        key = self.prfspd._verify_slots(dk.bits, zip(fields[2::2], fields[3::2]))
+        return self.ske.decrypt(key, ct.body)
 
 
 class PrfsScheme(QpkeScheme):
@@ -434,106 +452,84 @@ class PrfsScheme(QpkeScheme):
 # --- classical ciphertext wire format -------------------------------------
 #
 # tag byte (1 = owf, 2 = prfspd), u16 big-endian security parameter, then
-# bitstring fields, each a u16 big-endian bit length followed by the bits
-# packed MSB-first. Scheme 1: x, nonce, body. Scheme 2: nonce, body, u16 slot
-# count, then per slot x and y~. The parser checks the widths that the
-# security parameter fixes (x; the Scheme 2 nonce, slot count and slot
-# inputs); `decrypt` checks the widths that depend on the scheme's other
-# parameters. A field or count too wide for its u16 is a `SchemeError`.
+# bitstring fields, each a u16 big-endian bit length, the bits MSB-first and
+# zero padding to a byte. Scheme 1: x, nonce, body. Scheme 2: nonce, body, u16
+# slot count, then per slot x and y~. All after the tag is one bit layout, for
+# one `pack_bits` and one `unpack_bits`. The parser checks the widths that the
+# security parameter fixes (x; the Scheme 2 nonce, slot count and slot inputs);
+# `decrypt` checks the widths that depend on the scheme's other parameters. A
+# field or count too wide for its u16 is a `SchemeError`.
 
 _U16_MAX = 0xFFFF
 
 
-def _u16(field_name: str, value: int) -> bytes:
-    if not 0 <= value <= _U16_MAX:
-        raise SchemeError(f"ciphertext {field_name} {value} does not fit the u16 limit {_U16_MAX}")
-    return value.to_bytes(2, "big")
+def _u16(field_name: str, value) -> str:
+    if not (isinstance(value, int) and 0 <= value <= _U16_MAX):
+        raise SchemeError(f"ciphertext {field_name} {value!r} does not fit the u16 limit {_U16_MAX}")
+    return format(value, "016b")
 
 
-def _put_bits(parts: list, field_name: str, s: str):
-    """One bit field: its u16 bit length, then its bits packed MSB-first, zero-padded."""
-    try:
-        packed = pack_bits(s)
-    except ValueError:
-        raise SchemeError(f"ciphertext {field_name} is not a bitstring: {s!r}") from None
-    parts.append(_u16(f"{field_name} bit length", len(s)) + packed)
-
-
-class _Reader:
-    """Reads the wire fields in order; short input and nonzero padding are a `SchemeError`."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _take(self, nbytes: int) -> bytes:
-        if self.pos + nbytes > len(self.data):
-            raise SchemeError("ciphertext is truncated")
-        self.pos += nbytes
-        return self.data[self.pos - nbytes : self.pos]
-
-    def u16(self) -> int:
-        return int.from_bytes(self._take(2), "big")
-
-    def bits(self) -> str:
-        """A bit field; the padding bits of its last byte must be zero."""
-        width = self.u16()
-        data = self._take((width + 7) // 8)
-        if data and data[-1] & ((1 << (-width % 8)) - 1):
-            raise SchemeError("ciphertext field has nonzero padding bits")
-        return unpack_bits(data, width)
-
-    def finish(self, ct):
-        """`ct` if every byte was read; trailing bytes are a `SchemeError`."""
-        if self.pos != len(self.data):
-            raise SchemeError(f"{len(self.data) - self.pos} trailing bytes after the ciphertext")
-        return ct
+def _bit_fields(fields) -> str:
+    """Each field's u16 bit length, its bits and zero padding to a byte."""
+    return "".join([f"{len(bits):016b}{bits}{'0' * (-len(bits) % 8)}" for bits in fields])
 
 
 def serialize_ciphertext(ct) -> bytes:
-    parts: list = []
-    if isinstance(ct, Scheme1Ciphertext):
-        parts.append(b"\x01" + _u16("security parameter", ct.security_param))
-        _put_bits(parts, "x", ct.x)
-        _put_bits(parts, "nonce", ct.body.nonce)
-        _put_bits(parts, "body", ct.body.body)
-    elif isinstance(ct, Scheme2Ciphertext):
-        parts.append(b"\x02" + _u16("security parameter", ct.security_param))
-        _put_bits(parts, "nonce", ct.body.nonce)
-        _put_bits(parts, "body", ct.body.body)
-        parts.append(_u16("slot count", len(ct.slots)))
-        for x, y_tilde in ct.slots:
-            _put_bits(parts, "slot input", x)
-            _put_bits(parts, "slot proof", y_tilde)
-    else:
+    if not isinstance(ct, (Scheme1Ciphertext, Scheme2Ciphertext)):
         raise SchemeError("only classical ciphertexts serialize to bytes")
-    return b"".join(parts)
+    names, fields = _wire_fields(ct)
+    tag, before_count = (b"\x01", 3) if isinstance(ct, Scheme1Ciphertext) else (b"\x02", 2)
+    head = _u16("security parameter", ct.security_param)
+    count = "" if before_count == 3 else _u16("slot count", len(fields) // 2 - 1)
+    try:
+        if all(isinstance(bits, str) and len(bits) <= _U16_MAX for bits in fields):
+            layout = (head + _bit_fields(fields[:before_count]) + count
+                      + _bit_fields(fields[before_count:]))
+            return tag + pack_bits(layout)
+    except ValueError:
+        pass
+    for name, bits in zip(names, fields):  # some field is at fault: the first, in wire order
+        _check_fields((name,), (None,), (bits,))
+        _u16(f"{name} bit length", len(bits))
+
+
+def _read_bit_fields(layout: str, pos: int, names, widths) -> tuple[list, int]:
+    """The bit fields from `pos` on, one per name, and the position after them; a field cut
+    short, nonzero padding or another width than its width that is not None raises."""
+    fields = []
+    for name, width in zip(names, widths):
+        n = int(layout[pos:pos + 16] or "0", 2)  # cut short: pos lands past the end
+        start, pos = pos + 16, pos + 16 + n + (-n % 8)
+        if pos > len(layout):
+            raise SchemeError("ciphertext is truncated")
+        if "1" in layout[start + n:pos]:
+            raise SchemeError("ciphertext field has nonzero padding bits")
+        fields.append(layout[start:start + n])
+        if width is not None:
+            _check_width(name, fields[-1], width)
+    return fields, pos
 
 
 def deserialize_ciphertext(data: bytes):
     if not data:
         raise SchemeError("empty ciphertext")
-    reader = _Reader(data[1:])
-    tag = data[0]
-    if tag == 1:
-        lam = reader.u16()
-        x = reader.bits()
-        _check_width("x", x, lam)
-        nonce = reader.bits()
-        body = reader.bits()
-        return reader.finish(Scheme1Ciphertext(lam, x, SkeCiphertext(nonce, body)))
-    if tag == 2:
-        lam = reader.u16()
-        nonce = reader.bits()
-        _check_width("nonce", nonce, lam)  # the SKE key is the lambda-bit k
-        body = reader.bits()
-        count = reader.u16()
-        if count != lam:
+    if data[0] not in (1, 2):
+        raise SchemeError(f"unknown ciphertext tag {data[0]}")
+    layout = unpack_bits(data[1:], 8 * (len(data) - 1))
+    lam = int(layout[:16] or "0", 2)  # cut short: the first field read finds it
+    if data[0] == 1:
+        (x, nonce, body), pos = _read_bit_fields(layout, 16, ("x", "nonce", "body"),
+                                                 (lam, None, None))
+        ct = Scheme1Ciphertext(lam, x, SkeCiphertext(nonce, body))
+    else:  # the nonce is lambda bits: the SKE key is the lambda-bit k
+        (nonce, body), pos = _read_bit_fields(layout, 16, ("nonce", "body"), (lam, None))
+        if pos + 16 > len(layout):
+            raise SchemeError("ciphertext is truncated")
+        if (count := int(layout[pos:pos + 16], 2)) != lam:
             raise SchemeError(f"ciphertext has {count} slots, expected {lam}")
-        slots = []
-        for _ in range(count):
-            x = reader.bits()
-            _check_width("slot input", x, lam)
-            slots.append((x, reader.bits()))
-        return reader.finish(Scheme2Ciphertext(lam, SkeCiphertext(nonce, body), tuple(slots)))
-    raise SchemeError(f"unknown ciphertext tag {tag}")
+        fields, pos = _read_bit_fields(layout, pos + 16, ("slot input", "slot proof") * count,
+                                       (lam, None) * count)
+        ct = Scheme2Ciphertext(lam, SkeCiphertext(nonce, body), tuple(zip(fields[::2], fields[1::2])))
+    if pos != len(layout):
+        raise SchemeError(f"{(len(layout) - pos) // 8} trailing bytes after the ciphertext")
+    return ct

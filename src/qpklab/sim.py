@@ -19,23 +19,21 @@ sum_x a_x |x> sum_y c |y>|f(x||y)>, held as its recipe (the control state and
 a map from x to the cells of its block); the OWF key and the PRFSPD slot
 state are such graph states. `GraphState.materialize` writes the dense state
 from one table of function values that its caller computes in one call for
-all x. `measure_control` measures x on any number of copies of one controlled
-state from one control marginal, and renormalizes each outcome's block alone,
-with no full-size post-measurement vector: sliced out of a dense state, or
-built from a graph state's recipe, so measuring the lambda-copy PRFSPD slot
-state builds lambda blocks and never the 2^(lambda+m+t) amplitudes.
+all x. `measure_control` measures x on copies of a dense controlled state and
+slices each block out alone, with no full-size post-measurement vector.
+`measure_graph` measures all wires of copies of a graph state from its recipe
+and one table of cells, never building the 2^(lambda+m+t) PRFSPD amplitudes.
 
-A computational-basis draw (`sample_outcome`, `measure_control`) cumulates the
-Born probabilities of the nonzero outcomes only, and gives the bits that
-`rng.choice` gives over all of them: a graph-state key has 2^lambda nonzero
-amplitudes among 2^(lambda+n).
+A computational-basis draw (`sample_outcome`, `measure_control`, `measure_graph`)
+cumulates the Born probabilities of the nonzero outcomes only, and gives the
+bits that `rng.choice` gives over all of them: a graph-state key has 2^lambda
+nonzero amplitudes among 2^(lambda+n).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -176,7 +174,7 @@ class GraphState:
 
     The graph of a classical function, held as its recipe: no amplitude of
     the joint state exists until `materialize` writes them all, and
-    `measure_control` builds only the blocks it draws. `cells_of` maps an
+    `measure_graph` builds only the blocks it draws. `cells_of` maps an
     integer array of control values x with a_x != 0 to the block's basis
     indices that carry amplitude c: one row of indices per x (or one index
     per x), the same number k for every x. c = k^(-1/2), the one size for
@@ -205,14 +203,6 @@ class GraphState:
         amps = np.zeros((self.control.dim, 1 << self.block_qubits), dtype=np.complex128)
         amps[rows[:, None], cells] = self.control.amplitudes[rows, None] * cells.shape[1] ** -0.5
         return PureState(self.qubit_count, amps.reshape(-1))
-
-    def _block(self, xv: int) -> np.ndarray:
-        """The amplitudes of x = `xv`'s block as `materialize` writes them, not
-        renormalized: one call of `cells_of`, for x alone."""
-        amps = np.zeros(1 << self.block_qubits, dtype=np.complex128)
-        cells = self._cells(np.array([xv]))[0]
-        amps[cells] = self.control.amplitudes[xv] * len(cells) ** -0.5
-        return amps
 
 
 def apply_function_oracle(state, f, in_range: WireRange, out_range: WireRange) -> PureState:
@@ -333,37 +323,51 @@ def measure_computational(state: PureState, wires: WireRange, rng: np.random.Gen
     return outcome, post
 
 
-def measure_control(state: PureState | GraphState, control_width: int,
-                    rng: np.random.Generator, copies: int = 1):
-    """Measure the control register of `copies` copies of a controlled state.
+def measure_control(state: PureState, control_width: int, rng: np.random.Generator,
+                    copies: int = 1):
+    """Measure the control register of `copies` copies of a dense controlled state.
 
-    Yields (x, block) once per copy, lazily: each copy draws one
-    `rng.random()` when it is requested, so a caller may interleave its own
-    draws and still get what `copies` single-copy measurements would give.
-    The control marginal and its CDF over the nonzero outcomes are computed
-    once, for all copies. The block is the renormalized state left on the
-    wires below the control, with no full-size post-measurement state: sliced
-    out of a `PureState`'s amplitudes, or built alone from a `GraphState`'s
-    recipe, whose control marginal is its control state's Born rule.
-    Single-copy callers take `next(...)`.
+    Yields (x, block) once per copy, lazily: each copy draws one `rng.random()`
+    when it is requested, so a caller may interleave its own draws and still
+    get what `copies` single-copy measurements would give. The control
+    marginal and its CDF over the nonzero outcomes are computed once, for all
+    copies. The block is the renormalized state left on the wires below the
+    control, sliced out with no full-size post-measurement state. Single-copy
+    callers take `next(...)`; `measure_graph` measures a `GraphState`.
     """
-    if isinstance(state, GraphState):
-        if control_width != state.control.qubit_count:
-            raise ValueError(f"graph state has a {state.control.qubit_count}-qubit control, "
-                             f"not {control_width}")
-        support, cdf = _born_cdf(state.control, state.control.full_range())
-        block_of = state._block
-    else:
-        wires = WireRange(state.qubit_count - control_width, control_width)
-        support, cdf = _born_cdf(state, wires)
-        block_of = partial(_register_block, state.amplitudes, wires)
+    wires = WireRange(state.qubit_count - control_width, control_width)
+    support, cdf = _born_cdf(state, wires)
     for _ in range(copies):
         xv = int(support[cdf.searchsorted(rng.random(), side="right")])
-        block = block_of(xv)
+        block = _register_block(state.amplitudes, wires, xv)
         prob = float(np.vdot(block, block).real)
         assert prob > ATOL_EXACT**2, "sampled outcome has zero projection"
         yield (int_to_bits(xv, control_width),
                PureState(state.qubit_count - control_width, block / np.sqrt(prob)))
+
+
+def measure_graph(state: GraphState, rng: np.random.Generator, copies: int):
+    """Measure every wire of `copies` copies of a graph state: xs[i] and cells[i] are copy
+    i's control value and basis index in its block. One `rng.random(2 * copies)` draws
+    x_1, cell_1, x_2, ... with the bits of `copies` `measure_control` draws, each then a
+    `sample_outcome` of its block: one control CDF, one `cells_of` call, and a (copies,
+    2^b) block array, each row renormalized by its own `np.vdot` and cumulated alone."""
+    support, cdf = _born_cdf(state.control, state.control.full_range())
+    u = rng.random(2 * copies)
+    xs = support[cdf.searchsorted(u[0::2], side="right")]
+    cells, rows = state._cells(xs), np.arange(copies)[:, None]
+    blocks = np.zeros((copies, 1 << state.block_qubits), dtype=np.complex128)
+    blocks[rows, cells] = state.control.amplitudes[xs, None] * cells.shape[1] ** -0.5
+    probs = np.array([np.vdot(block, block).real for block in blocks])
+    assert (probs > ATOL_EXACT**2).all(), "sampled outcome has zero projection"
+    born = np.square(np.abs(blocks / np.sqrt(probs)[:, None]))
+    total = born.sum(axis=1, keepdims=True)
+    assert (abs(total - 1.0) < 1e-8).all()
+    support = np.sort(cells, axis=1)  # each row's nonzero outcomes
+    cdf = (born[rows, support] / total).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    # the number of CDF entries at or below u is searchsorted(u, side="right")
+    return xs, support[rows[:, 0], (cdf <= u[1::2, None]).sum(axis=1)]
 
 
 def puncture(state: PureState, marked: str, wires: WireRange) -> PureState:

@@ -1,12 +1,12 @@
-"""`sim.controlled_state`, `sim.GraphState` and `sim.measure_control` against the
-constructions they replace.
+"""`sim.controlled_state`, `sim.GraphState`, `sim.measure_control` and
+`sim.measure_graph` against the constructions they replace.
 
 The reference builders below are the earlier per-scheme constructions of the
 public keys and of the measure-then-slice step. The shared routines must
 reproduce them bit for bit, so keys, random draws and reports stay the same.
 The PRFSPD key is a `GraphState` recipe: its dense state is read through
 `materialize()`, and measuring the recipe must draw what measuring that
-dense state draws.
+dense state, then each drawn block, draws.
 """
 
 import tracemalloc
@@ -83,6 +83,17 @@ def reference_measure_block(state, control_width, rng):
     n = state.qubit_count - control_width
     x, post = sim.measure_computational(state, WireRange(n, control_width), rng)
     return x, post.amplitudes[int(x, 2) << n : (int(x, 2) + 1) << n]
+
+
+def reference_measure_graph(state, copies, rng):
+    """`copies` times: measure the control of the dense state, slice the block, then
+    measure all of the block's wires; the (x, cell) values of every copy."""
+    dense, block_wires, draws = state.materialize(), WireRange(0, state.block_qubits), []
+    for _ in range(copies):
+        x, block = reference_measure_block(dense, state.control.qubit_count, rng)
+        cell = sim.sample_outcome(PureState(state.block_qubits, block), block_wires, rng)
+        draws.append((int(x, 2), int(cell, 2)))
+    return draws
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -264,10 +275,6 @@ def test_graph_state_calls_cells_of_once_with_the_nonzero_rows():
 # --- measurement --------------------------------------------------------------
 
 
-def dense(state):
-    return state.materialize() if isinstance(state, sim.GraphState) else state
-
-
 def test_measure_control_matches_measure_then_slice_over_seeds():
     prfs_key = PrfsScheme(3, PhasePrfs(PrfsParams(3, 3, 2))).qpk_gen(DecryptionKey("110"))
     prfspd = PrfspdScheme(3, ToyPrfspd(PrfspdParams(3, 3, 1, 2)))
@@ -275,30 +282,24 @@ def test_measure_control_matches_measure_then_slice_over_seeds():
     rng = np.random.default_rng(8)
     haar = sim.controlled_state(sim.haar_random_state(2, rng), 3,
                                 lambda x: sim.haar_random_state(3, rng).amplitudes)
-    for state, control_width in ((prfs_key.state, 3), (slot, 3), (slot.materialize(), 3),
-                                 (haar, 2)):
+    for state, control_width in ((prfs_key.state, 3), (slot.materialize(), 3), (haar, 2)):
         for seed in range(60):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             x, block = next(sim.measure_control(state, control_width, rng_a))
-            x_ref, block_ref = reference_measure_block(dense(state), control_width, rng_b)
+            x_ref, block_ref = reference_measure_block(state, control_width, rng_b)
             assert x == x_ref
             assert block.qubit_count == state.qubit_count - control_width
             assert same_bits(block.amplitudes, block_ref)
             assert rng_a.random() == rng_b.random()
-    with pytest.raises(ValueError, match="3-qubit control"):
-        next(sim.measure_control(slot, 2, np.random.default_rng(0)))
 
 
 def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeypatch):
-    slot = PrfspdScheme(8, ToyPrfspd(PrfspdParams(8, 8, 1, 6))).qpk_gen(DecryptionKey("10110010"))
     prfs_key = PrfsScheme(6, PhasePrfs(PrfsParams(6, 6, 4))).qpk_gen(DecryptionKey("011010"))
-    cases = [(key.state, control_width, seed)
-             for key, control_width in ((slot, 8), (prfs_key, 6)) for seed in range(20)]
+    cases = [(prfs_key.state, 6, seed) for seed in range(20)]
     references = []
     for state, control_width, seed in cases:
         rng = np.random.default_rng(seed)
-        references.append((*reference_measure_block(dense(state), control_width, rng),
-                           rng.random()))
+        references.append((*reference_measure_block(state, control_width, rng), rng.random()))
 
     def full_size(*args, **kwargs):
         raise AssertionError("measure_control built a full-size post-measurement state")
@@ -314,7 +315,7 @@ def test_measure_control_slices_the_block_without_a_full_size_post_state(monkeyp
 
 
 @pytest.mark.parametrize("lam,m,t,seeds", [(4, 1, 2, 1000), (8, 1, 6, 100), (4, 2, 2, 400),
-                                           (6, 3, 3, 200)])
+                                           (6, 3, 3, 200), (5, 0, 3, 400), (3, 4, 2, 400)])
 def test_slot_measurements_draw_what_single_copy_measurements_drew(lam, m, t, seeds):
     scheme = PrfspdScheme(lam, ToyPrfspd(PrfspdParams(lam, lam, m, t)))
     state = scheme.qpk_gen(DecryptionKey("1" * lam)).state.materialize()
@@ -339,5 +340,60 @@ def test_slot_measurements_compute_the_control_marginal_once(monkeypatch):
 
     monkeypatch.setattr(sim, "born_probabilities", counting)
     scheme._measure_slots(qpk, np.random.default_rng(3))
-    # one marginal over the 8-qubit control, then one per 7-qubit block that `delete` measures
-    assert measured == [lam] + [7] * lam
+    # one marginal over the 8-qubit control; the blocks' Born rules are rows of one array
+    assert measured == [lam]
+
+
+def graph_with_zero_controls():
+    """A graph state off the PRFSPD family: a Haar control with two zero amplitudes, and
+    four cells per block that move with x."""
+    amps = sim.haar_random_state(3, np.random.default_rng(4)).amplitudes.copy()
+    amps[[2, 5]] = 0.0
+    control = PureState(3, amps / np.linalg.norm(amps))
+    return sim.GraphState(control, 4, lambda xs: (xs[:, None] * 5 + np.arange(4) * 4) % 16)
+
+
+def graph_cases():
+    slot = PrfspdScheme(3, ToyPrfspd(PrfspdParams(3, 3, 1, 2))).qpk_gen(DecryptionKey("011"))
+    wide = PrfspdScheme(8, ToyPrfspd(PrfspdParams(8, 8, 1, 6))).qpk_gen(DecryptionKey("10110010"))
+    return [(slot.state, 1), (slot.state, 3), (wide.state, 8), (graph_with_zero_controls(), 5)]
+
+
+def test_measure_graph_matches_measure_then_slice_then_measure_the_block_over_seeds():
+    for state, copies in graph_cases():
+        for seed in range(60):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            xs, cells = sim.measure_graph(state, rng_a, copies)
+            assert list(zip(xs.tolist(), cells.tolist())) == reference_measure_graph(state, copies,
+                                                                                     rng_b)
+            assert rng_a.random() == rng_b.random()
+
+
+def test_measure_graph_builds_no_dense_state_and_one_control_marginal(monkeypatch):
+    cases = [(state, copies, seed) for state, copies in graph_cases() for seed in range(20)]
+    references = []
+    for state, copies, seed in cases:
+        rng = np.random.default_rng(seed)
+        references.append((reference_measure_graph(state, copies, rng), rng.random()))
+
+    def full_size(*args, **kwargs):
+        raise AssertionError("measure_graph built a full-size state")
+
+    monkeypatch.setattr(sim.GraphState, "materialize", full_size)
+    monkeypatch.setattr(sim, "project", full_size)
+    monkeypatch.setattr(sim, "measure_computational", full_size)
+    measured, tables = [], []
+    born = sim.born_probabilities
+    monkeypatch.setattr(sim, "born_probabilities",
+                        lambda state, wires: measured.append(state.qubit_count) or born(state, wires))
+    for (state, copies, seed), (draws_ref, next_ref) in zip(cases, references):
+        measured.clear()
+        counted = sim.GraphState(state.control, state.block_qubits,
+                                 lambda xs, cells_of=state.cells_of:
+                                 tables.append(len(xs)) or cells_of(xs))
+        rng = np.random.default_rng(seed)
+        xs, cells = sim.measure_graph(counted, rng, copies)
+        assert list(zip(xs.tolist(), cells.tolist())) == draws_ref
+        assert rng.random() == next_ref
+        assert measured == [state.control.qubit_count]
+        assert tables.pop() == copies and tables == []

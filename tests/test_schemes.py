@@ -2,6 +2,7 @@ import math
 import sys
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -521,6 +522,45 @@ def test_serialize_round_trip_property(x, nonce, body, data):
     ct2 = Scheme2Ciphertext(2, SkeCiphertext(data.draw(lam_bits), body),
                             ((data.draw(lam_bits), body), (data.draw(lam_bits), x)))
     assert deserialize_ciphertext(serialize_ciphertext(ct2)) == ct2
+
+
+@pytest.mark.parametrize("ct,wire", [
+    # x of 3 bits (odd), an empty nonce, a 9-bit body (wider than one byte)
+    (Scheme1Ciphertext(3, "101", SkeCiphertext("", "110100101")), "0100030003a000000009d280"),
+    # an empty body, a 5-bit proof (odd) and a 10-bit proof (wider than one byte)
+    (Scheme2Ciphertext(2, SkeCiphertext("01", ""), (("10", "11011"), ("01", "1011001110"))),
+     "020002000240000000020002800005d8000240000ab380"),
+], ids=["scheme1", "scheme2"])
+def test_wire_bytes_are_pinned(ct, wire):
+    # literal bytes: the round-trip tests pass for any codec whose two sides agree
+    assert serialize_ciphertext(ct).hex() == wire
+    assert deserialize_ciphertext(bytes.fromhex(wire)) == ct
+
+
+field_values = st.one_of(st.none(), st.booleans(), st.integers(-2, 1 << 17), st.floats(),
+                         st.text(max_size=5), st.text(alphabet="01", min_size=3, max_size=3),
+                         st.binary(max_size=3), st.lists(st.sampled_from("01"), max_size=3))
+slot_values = st.one_of(field_values, st.lists(st.one_of(
+    field_values, st.tuples(field_values), st.tuples(field_values, field_values),
+    st.tuples(field_values, field_values, field_values)), max_size=4).map(tuple))
+security_params = st.one_of(st.just(3), field_values)
+ske_bodies = st.one_of(st.builds(SkeCiphertext, field_values, field_values), field_values)
+MALFORMED_SCHEME2 = Scheme2Ciphertext(3, SkeCiphertext("000", "1"), (("000", "111", "1"),) * 3)
+
+
+@given(st.one_of(st.builds(Scheme1Ciphertext, security_params, field_values, ske_bodies),
+                 st.builds(Scheme2Ciphertext, security_params, ske_bodies, slot_values)))
+@example(MALFORMED_SCHEME2)
+@example(replace(MALFORMED_SCHEME2, slots=None))
+@example(Scheme1Ciphertext("3", "000", SkeCiphertext("000", "1")))
+@settings(max_examples=300, deadline=None)
+def test_ciphertexts_with_arbitrary_fields_serialize_and_decrypt_or_raise_scheme_error(ct):
+    scheme = OwfScheme(3) if isinstance(ct, Scheme1Ciphertext) else make_prfspd_scheme(3, 1, 2)
+    for step in (serialize_ciphertext, partial(scheme.decrypt, DecryptionKey("101"))):
+        try:
+            step(ct)
+        except SchemeError:
+            pass
 
 
 def _ciphertext_with_one_wrong_width(lam, field, width, body):
